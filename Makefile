@@ -95,34 +95,26 @@ bench-runner:
 	$(GO) test -run '^$$' -bench RunnerSweep -benchtime 2x ./internal/experiments | $(GO) run ./cmd/benchjson -out BENCH_runner.json
 	@cat BENCH_runner.json
 
-# Overload ramp, baseline vs guarded (guardian + breaker + admission
-# queue), archived as a JSON artifact for diffing across PRs.
-bench-overload:
-	$(GO) run ./cmd/qsqbench -exp overload -replicas 3 -parallel 6 -bench BENCH_overload.json
-
-# Transcode-farm Pareto sweep (worker-class mixes vs the inline baseline:
-# dollars vs p99 startup delay), archived as a JSON artifact.
-bench-transcode:
-	$(GO) run ./cmd/qsqbench -exp transcode -replicas 3 -parallel 6 -bench BENCH_transcode.json
+# Registry experiments archived as JSON records for diffing across PRs,
+# each at 3 replicas on 6 workers into BENCH_<experiment>.json:
+#   overload  — overload ramp, baseline vs guarded (guardian + breaker +
+#               admission queue);
+#   transcode — transcode-farm Pareto sweep (worker-class mixes vs the
+#               inline baseline: dollars vs p99 startup delay);
+#   sla       — the same congestion ramp under clause strictness tiers
+#               (none/bronze/silver/gold), QoE percentiles queried back
+#               through the vdbms qoe table;
+#   edge      — the same Zipf + diurnal + flash-crowd workload origin-only
+#               and through the cooperative edge proxy-cache tier: startup
+#               percentiles, hit ratio and origin-link offload.
+bench-overload bench-transcode bench-sla bench-edge: bench-%:
+	$(GO) run ./cmd/qsqbench -exp $* -replicas 3 -parallel 6 -bench BENCH_$*.json
 
 # Admission hot path at saturation: 10^5 sliding-window sessions on one
 # hot site, broker-serialized baseline vs the VSA fast path, archived as a
 # JSON artifact (fidelity hashes + admissions/sec + p99 decision latency).
 bench-saturate:
 	$(GO) run ./cmd/qsqbench -exp saturate -bench BENCH_admission_scale.json
-
-# SLA-tier sweep: the same congestion ramp delivered under clause
-# strictness tiers (none/bronze/silver/gold), QoE percentiles queried back
-# through the vdbms qoe table, archived as a JSON artifact.
-bench-sla:
-	$(GO) run ./cmd/qsqbench -exp sla -replicas 3 -parallel 6 -bench BENCH_sla.json
-
-# Edge-tier sweep: the same Zipf + diurnal + flash-crowd workload delivered
-# origin-only and through the cooperative edge proxy-cache tier — startup
-# percentiles, hit ratio and origin-link offload, archived as a JSON
-# artifact.
-bench-edge:
-	$(GO) run ./cmd/qsqbench -exp edge -replicas 3 -parallel 6 -bench BENCH_edge.json
 
 chaos:
 	$(GO) run ./cmd/qsqbench -exp chaos

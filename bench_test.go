@@ -19,6 +19,7 @@ import (
 	"quasaq/internal/media"
 	"quasaq/internal/qos"
 	"quasaq/internal/replication"
+	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 )
 
@@ -58,7 +59,7 @@ func BenchmarkTable2DelayStats(b *testing.B) {
 // 1000 s of Poisson arrivals.
 func BenchmarkFig6Throughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.RunFig6(experiments.DefaultFig6Config())
+		series, err := experiments.RunSweep(experiments.Fig6, experiments.DefaultFig6Config(), runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func BenchmarkFig6Throughput(b *testing.B) {
 // sustaining 27-89% more sessions).
 func BenchmarkFig7CostModels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.RunFig7(experiments.DefaultFig7Config())
+		series, err := experiments.RunSweep(experiments.Fig7, experiments.DefaultFig7Config(), runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,14 +159,14 @@ func BenchmarkDynamicReplication(b *testing.B) {
 	cfg := experiments.DefaultFig6Config()
 	cfg.Horizon = simtime.Seconds(600)
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunDynamicReplication(cfg)
+		points, err := experiments.RunSweep(experiments.Dynamic, cfg, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.StaticSingle.SteadyOutstanding(), "single-static-steady")
-		b.ReportMetric(r.DynamicSingle.SteadyOutstanding(), "single-dynamic-steady")
-		b.ReportMetric(r.FullReplica.SteadyOutstanding(), "full-ladder-steady")
-		b.ReportMetric(float64(r.ReplicasCreated), "replicas-created")
+		b.ReportMetric(points[0].Series.SteadyOutstanding(), "single-static-steady")
+		b.ReportMetric(points[1].Series.SteadyOutstanding(), "single-dynamic-steady")
+		b.ReportMetric(points[2].Series.SteadyOutstanding(), "full-ladder-steady")
+		b.ReportMetric(float64(points[1].ReplicasCreated), "replicas-created")
 	}
 }
 

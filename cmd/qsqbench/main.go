@@ -1,23 +1,31 @@
-// Command qsqbench regenerates the paper's tables and figures from the
-// simulated testbed.
+// Command qsqbench regenerates the paper's tables and figures, and the
+// extensions built on them, from the simulated testbed.
 //
 // Usage:
 //
-//	qsqbench -exp fig5       # Figure 5: inter-frame delay panels
-//	qsqbench -exp table2     # Table 2: delay statistics
-//	qsqbench -exp fig6       # Figure 6: three-system throughput
-//	qsqbench -exp fig7       # Figure 7: LRB vs random cost model
-//	qsqbench -exp throughput # full system sweep (all six systems)
-//	qsqbench -exp ablation   # cost-model and replication ablations
-//	qsqbench -exp overhead   # §5.2 overhead analysis
-//	qsqbench -exp chaos      # fault injection + mid-stream failover
-//	qsqbench -exp admission  # admission latency vs load over the control plane
-//	qsqbench -exp overload   # load ramp past capacity: guardian + breaker vs baseline
-//	qsqbench -exp transcode  # farm worker-class mixes: dollars vs p99 startup delay
-//	qsqbench -exp saturate   # admission hot path at 10^5-10^6 sessions: broker vs VSA fast path
-//	qsqbench -exp sla        # clause-strictness tiers: violation rates + QoE percentiles from the qoe table
-//	qsqbench -exp edge       # edge proxy-cache tier vs origin-only: startup tails + origin offload
-//	qsqbench -exp all
+//	qsqbench -exp NAME [flags]   # one experiment (or report) from the registry
+//	qsqbench -exp all            # every experiment marked for the full run
+//
+// The experiments are the ordered registry in internal/experiments; `qsqbench
+// -h` lists every -exp value. They are:
+//
+//	fig5       Figure 5: inter-frame delay panels (its Table 2 report: -exp table2)
+//	fig6       Figure 6: three-system throughput
+//	fig7       Figure 7: LRB vs random cost model
+//	throughput full system sweep (all six systems; not in -exp all)
+//	ablation   cost-model and replication ablations
+//	dynamic    online replication from single-copy storage
+//	admission  admission latency vs load over the control plane
+//	overhead   §5.2 planner and scheduler overhead
+//	chaos      fault injection + mid-stream failover
+//	overload   load ramp past capacity: guardian + breaker vs baseline
+//	transcode  farm worker-class mixes: dollars vs p99 startup delay
+//	saturate   admission hot path at 10^5-10^6 sessions: broker vs VSA fast path
+//	sla        clause-strictness tiers: violation rates + QoE percentiles from the qoe table
+//	edge       edge proxy-cache tier vs origin-only: startup tails + origin offload
+//
+// The last five are not part of -exp all: their drains (or, for saturate,
+// its wall-clock pass) run long past the others.
 //
 // Every experiment is a grid of hermetic (point × replica) simulation
 // cells, executed by internal/runner on a bounded worker pool: -parallel
@@ -27,10 +35,16 @@
 // changes. `-replicas 8 -parallel 8` is how confidence intervals over many
 // seeds become cheap enough to be the default.
 //
+// Each run prints its report; -csv DIR also writes the experiment's CSV as
+// DIR/<name>.csv, and -bench FILE archives the run as a JSON benchmark
+// record for the experiments that have one (overload, transcode, saturate,
+// sla, edge). -bench with any other experiment, or with -exp all, is an
+// error.
+//
 // The admission experiment runs the distributed control plane with real
 // message latencies: -ctrl-latency-ms, -ctrl-timeout-ms, -ctrl-retries and
 // -ctrl-loss shape the PREPARE/COMMIT/ABORT traffic (defaults match the
-// paper's LAN testbed), and each -load level is one hermetic sweep point.
+// paper's LAN testbed), and each load level is one hermetic sweep point.
 //
 // The chaos experiment accepts -faults pointing at a fault-schedule file
 // (see internal/faults for the text format); without it the canonical
@@ -47,368 +61,124 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
 
-	"quasaq/internal/broker"
 	"quasaq/internal/experiments"
-	"quasaq/internal/faults"
-	"quasaq/internal/runner"
-	"quasaq/internal/simtime"
 )
 
-// options carries every CLI knob through the experiment dispatch.
+// options carries every CLI knob: the experiment selection, the output
+// destinations, and the experiment settings themselves.
 type options struct {
-	exp        string
-	seed       int64
-	sweep      runner.Options
-	frames     int
-	contention int
-	fig6Secs   float64
-	fig7Secs   float64
-	chaosSecs  float64
-	queries    int
-	faultsFile string
-	csvDir     string
-	traceFile  string
-	metricsOut string
-
-	admSecs     float64
-	ctrlLatMs   float64
-	ctrlTmoMs   float64
-	ctrlRetries int
-	ctrlLoss    float64
-
-	overloadScale float64
-	benchOut      string
-
-	satSessions   int
-	satLive       int
-	satGoroutines int
-	satZipf       float64
+	exp      string
+	csvDir   string
+	benchOut string
+	s        experiments.Settings
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.exp, "exp", "all", "experiment: fig5|table2|fig6|fig7|throughput|ablation|dynamic|overhead|chaos|admission|overload|transcode|saturate|sla|edge|all")
-	flag.Int64Var(&o.seed, "seed", 11, "workload seed (replica 0 runs this seed itself)")
-	flag.IntVar(&o.sweep.Workers, "parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS)")
-	flag.IntVar(&o.sweep.Replicas, "replicas", 1, "independently seeded repetitions of every sweep point")
-	flag.IntVar(&o.frames, "frames", 1000, "fig5: trace length in frames")
-	flag.IntVar(&o.contention, "contention", 45, "fig5: competing streams at high contention")
-	flag.Float64Var(&o.fig6Secs, "fig6-horizon", 1000, "fig6/throughput: simulated seconds")
-	flag.Float64Var(&o.fig7Secs, "fig7-horizon", 7000, "fig7: simulated seconds")
-	flag.IntVar(&o.queries, "overhead-queries", 500, "overhead: planning calls to time")
-	flag.Float64Var(&o.chaosSecs, "chaos-horizon", 600, "chaos: simulated seconds")
-	flag.StringVar(&o.faultsFile, "faults", "", "chaos: fault-schedule file (default: canonical schedule)")
-	flag.StringVar(&o.csvDir, "csv", "", "also write series CSVs into this directory")
-	flag.StringVar(&o.traceFile, "trace", "", "chaos: write Chrome trace_event JSON of every session here")
-	flag.StringVar(&o.metricsOut, "metrics", "", "chaos: write the metrics registry as JSON here")
-	flag.Float64Var(&o.admSecs, "admission-horizon", 200, "admission: query arrival window in simulated seconds")
-	flag.Float64Var(&o.ctrlLatMs, "ctrl-latency-ms", 5, "admission: one-way control-message latency (0 = synchronous)")
-	flag.Float64Var(&o.ctrlTmoMs, "ctrl-timeout-ms", 40, "admission: per-attempt control RPC timeout")
-	flag.IntVar(&o.ctrlRetries, "ctrl-retries", 2, "admission: control RPC retries after the first attempt")
-	flag.Float64Var(&o.ctrlLoss, "ctrl-loss", 0, "admission: control-message loss probability in [0,1)")
-	flag.Float64Var(&o.overloadScale, "overload-scale", 1, "overload: shrink (<1) or stretch (>1) the ramp and fault times")
-	flag.StringVar(&o.benchOut, "bench", "", "overload/transcode/saturate/sla/edge: archive the run as a JSON benchmark record here")
-	flag.IntVar(&o.satSessions, "sessions", 100000, "saturate: total session arrivals")
-	flag.IntVar(&o.satLive, "live", 20000, "saturate: sliding-window depth of concurrently live sessions")
-	flag.IntVar(&o.satGoroutines, "goroutines", 8, "saturate: concurrent admission loops in the throughput pass")
-	flag.Float64Var(&o.satZipf, "zipf", 1.1, "saturate: video-popularity skew exponent (>1)")
-	flag.Parse()
-	if err := run(o); err != nil {
+	o, err := parseFlags(os.Args[1:])
+	switch {
+	case err == flag.ErrHelp:
+		return
+	case err != nil:
+		os.Exit(2) // the flag set already printed the error and usage
+	}
+	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "qsqbench:", err)
 		os.Exit(1)
 	}
 }
 
-// saveCSV writes one table into the -csv directory when it is set.
-func saveCSV(csvDir, name string, t experiments.Table) error {
-	if csvDir == "" {
-		return nil
+// parseFlags binds the command line onto options.
+func parseFlags(args []string) (options, error) {
+	var names, archived []string
+	for _, e := range experiments.Registry() {
+		names = append(names, e.Names()...)
+		if e.Archived() {
+			archived = append(archived, e.Name())
+		}
 	}
-	path, err := experiments.SaveCSV(csvDir, name, func(w io.Writer) error {
-		return experiments.WriteTable(w, t)
-	})
+	var o options
+	s := &o.s
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
+	fs.Int64Var(&s.Seed, "seed", 11, "workload seed (replica 0 runs this seed itself)")
+	fs.IntVar(&s.Sweep.Workers, "parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS)")
+	fs.IntVar(&s.Sweep.Replicas, "replicas", 1, "independently seeded repetitions of every sweep point")
+	fs.IntVar(&s.Frames, "frames", 1000, "fig5: trace length in frames")
+	fs.IntVar(&s.Contention, "contention", 45, "fig5: competing streams at high contention")
+	fs.Float64Var(&s.Fig6Horizon, "fig6-horizon", 1000, "fig6/throughput: simulated seconds")
+	fs.Float64Var(&s.Fig7Horizon, "fig7-horizon", 7000, "fig7: simulated seconds")
+	fs.IntVar(&s.OverheadQueries, "overhead-queries", 500, "overhead: planning calls to time")
+	fs.Float64Var(&s.ChaosHorizon, "chaos-horizon", 600, "chaos: simulated seconds")
+	fs.StringVar(&s.FaultsFile, "faults", "", "chaos: fault-schedule file (default: canonical schedule)")
+	fs.StringVar(&o.csvDir, "csv", "", "also write series CSVs into this directory")
+	fs.StringVar(&s.TraceFile, "trace", "", "chaos: write Chrome trace_event JSON of every session here")
+	fs.StringVar(&s.MetricsFile, "metrics", "", "chaos: write the metrics registry as JSON here")
+	fs.Float64Var(&s.AdmissionHorizon, "admission-horizon", 200, "admission: query arrival window in simulated seconds")
+	fs.Float64Var(&s.CtrlLatencyMs, "ctrl-latency-ms", 5, "admission: one-way control-message latency (0 = synchronous)")
+	fs.Float64Var(&s.CtrlTimeoutMs, "ctrl-timeout-ms", 40, "admission: per-attempt control RPC timeout")
+	fs.IntVar(&s.CtrlRetries, "ctrl-retries", 2, "admission: control RPC retries after the first attempt")
+	fs.Float64Var(&s.CtrlLoss, "ctrl-loss", 0, "admission: control-message loss probability in [0,1)")
+	fs.Float64Var(&s.OverloadScale, "overload-scale", 1, "overload: shrink (<1) or stretch (>1) the ramp and fault times")
+	fs.StringVar(&o.benchOut, "bench", "", strings.Join(archived, "/")+": archive the run as a JSON benchmark record here")
+	fs.IntVar(&s.Sessions, "sessions", 100000, "saturate: total session arrivals")
+	fs.IntVar(&s.Live, "live", 20000, "saturate: sliding-window depth of concurrently live sessions")
+	fs.IntVar(&s.Goroutines, "goroutines", 8, "saturate: concurrent admission loops in the throughput pass")
+	fs.Float64Var(&s.Zipf, "zipf", 1.1, "saturate: video-popularity skew exponent (>1)")
+	err := fs.Parse(args)
+	return o, err
+}
+
+// run executes every experiment the -exp value selects, in registry order:
+// its reports, then its side files, its CSV, and its benchmark record.
+func run(o options, stdout io.Writer) error {
+	exps, err := experiments.Select(o.exp)
 	if err != nil {
 		return err
 	}
-	fmt.Println("wrote", path)
-	return nil
-}
-
-// throughputCfg builds the fig6-style config shared by several sweeps.
-func (o options) throughputCfg() experiments.ThroughputConfig {
-	cfg := experiments.DefaultFig6Config()
-	cfg.Seed = o.seed
-	cfg.Horizon = simtime.Seconds(o.fig6Secs)
-	return cfg
-}
-
-func run(o options) error {
-	switch o.exp {
-	case "all", "fig5", "table2", "fig6", "fig7", "throughput", "ablation", "dynamic", "overhead", "chaos", "admission", "overload", "transcode", "saturate", "sla", "edge":
-	default:
-		return fmt.Errorf("unknown experiment %q", o.exp)
-	}
-	all := o.exp == "all"
-	if all || o.exp == "fig5" || o.exp == "table2" {
-		cfg := experiments.Fig5Config{Seed: o.seed, Frames: o.frames, Contention: o.contention}
-		res, err := experiments.RunFig5Parallel(cfg, o.sweep)
-		if err != nil {
-			return err
-		}
-		if all || o.exp == "fig5" {
-			fmt.Println(experiments.FormatFig5(res))
-		}
-		if all || o.exp == "table2" {
-			fmt.Println(experiments.FormatTable2(experiments.Table2(res)))
-		}
-		if err := saveCSV(o.csvDir, "fig5.csv", experiments.Fig5Table(res)); err != nil {
-			return err
-		}
-	}
-	if all || o.exp == "fig6" {
-		series, err := experiments.RunFig6Parallel(o.throughputCfg(), o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatThroughput(
-			fmt.Sprintf("Figure 6: throughput of different video database systems (%.0f s)", o.fig6Secs), series))
-		if err := saveCSV(o.csvDir, "fig6.csv", experiments.SeriesTable(series)); err != nil {
-			return err
-		}
-	}
-	if all || o.exp == "fig7" {
-		cfg := experiments.DefaultFig7Config()
-		cfg.Seed = o.seed
-		cfg.Horizon = simtime.Seconds(o.fig7Secs)
-		series, err := experiments.RunFig7Parallel(cfg, o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatThroughput(
-			fmt.Sprintf("Figure 7: QuaSAQ with different cost models (%.0f s)", o.fig7Secs), series))
-		if err := saveCSV(o.csvDir, "fig7.csv", experiments.SeriesTable(series)); err != nil {
-			return err
-		}
-	}
-	if o.exp == "throughput" { // not part of -exp all: it subsumes fig6/ablation
-		series, err := experiments.RunSweep(experiments.NewThroughputScenario(o.throughputCfg()), o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatThroughput(
-			fmt.Sprintf("Throughput: full system sweep (%.0f s)", o.fig6Secs), series))
-		if err := saveCSV(o.csvDir, "throughput.csv", experiments.SeriesTable(series)); err != nil {
-			return err
-		}
-	}
-	if all || o.exp == "ablation" {
-		series, err := experiments.RunSweep(experiments.NewAblationScenario(o.throughputCfg()), o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatThroughput("Ablations: cost models + single-copy replication", series))
-		fmt.Printf("Single-copy replication ablation: steady outstanding %.1f (vs %.1f with the full ladder)\n",
-			series[len(series)-1].SteadyOutstanding(), series[0].SteadyOutstanding())
-		if err := saveCSV(o.csvDir, "ablation.csv", experiments.SeriesTable(series)); err != nil {
-			return err
-		}
-	}
-	if all || o.exp == "dynamic" {
-		res, err := experiments.RunDynamicReplicationParallel(o.throughputCfg(), o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatDynamic(res))
-	}
-	if all || o.exp == "admission" {
-		cfg := experiments.DefaultAdmissionConfig()
-		cfg.Seed = o.seed
-		cfg.Horizon = simtime.Seconds(o.admSecs)
-		cfg.Ctrl = broker.Config{
-			Latency: simtime.Seconds(o.ctrlLatMs / 1000),
-			Timeout: simtime.Seconds(o.ctrlTmoMs / 1000),
-			Retries: o.ctrlRetries,
-			Loss:    o.ctrlLoss,
-			Seed:    o.seed,
-		}
-		points, err := experiments.RunAdmissionParallel(cfg, o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatAdmission(cfg, points))
-		if err := saveCSV(o.csvDir, "admission.csv", experiments.AdmissionTable(points)); err != nil {
-			return err
-		}
-	}
-	if o.exp == "overload" { // not part of -exp all: the drain runs long past the ramp
-		cfg := experiments.DefaultOverloadConfig()
-		cfg.Seed = o.seed
-		if o.overloadScale != 1 {
-			if o.overloadScale <= 0 {
-				return fmt.Errorf("non-positive -overload-scale %v", o.overloadScale)
-			}
-			for i := range cfg.Phases {
-				cfg.Phases[i].Duration = simtime.Time(float64(cfg.Phases[i].Duration) * o.overloadScale)
-			}
-			for i := range cfg.Schedule {
-				cfg.Schedule[i].At = simtime.Time(float64(cfg.Schedule[i].At) * o.overloadScale)
+	if o.benchOut != "" {
+		for _, e := range exps {
+			if !e.Archived() {
+				return fmt.Errorf("-bench: experiment %q has no JSON benchmark record", e.Name())
 			}
 		}
-		points, err := experiments.RunOverloadParallel(cfg, o.sweep)
+	}
+	for _, e := range exps {
+		out, err := e.Run(o.s)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.FormatOverload(cfg, points))
-		if err := saveCSV(o.csvDir, "overload.csv", experiments.OverloadTable(points)); err != nil {
-			return err
+		for _, r := range out.Reports {
+			if o.exp == "all" || o.exp == r.Name {
+				fmt.Fprintln(stdout, r.Text)
+			}
+		}
+		for _, f := range out.Files {
+			if err := writeFile(stdout, f.Path, f.Write); err != nil {
+				return err
+			}
+		}
+		if o.csvDir != "" && out.CSV != nil {
+			if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
+				return err
+			}
+			if err := writeFile(stdout, filepath.Join(o.csvDir, e.Name()+".csv"), out.CSV); err != nil {
+				return err
+			}
 		}
 		if o.benchOut != "" {
-			if err := writeFile(o.benchOut, func(w io.Writer) error {
-				return experiments.WriteOverloadJSON(w, cfg, points)
-			}); err != nil {
+			if err := writeFile(stdout, o.benchOut, out.Record); err != nil {
 				return err
 			}
-			fmt.Println("wrote", o.benchOut)
-		}
-	}
-	if o.exp == "sla" { // not part of -exp all: its drain runs long past the ramp, like overload
-		cfg := experiments.DefaultSLAConfig()
-		cfg.Seed = o.seed
-		points, err := experiments.RunSLAParallel(cfg, o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatSLA(cfg, points))
-		if err := saveCSV(o.csvDir, "sla.csv", experiments.SLATable(points)); err != nil {
-			return err
-		}
-		if o.benchOut != "" {
-			if err := writeFile(o.benchOut, func(w io.Writer) error {
-				return experiments.WriteSLAJSON(w, cfg, points)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.benchOut)
-		}
-	}
-	if o.exp == "edge" { // not part of -exp all: the flash-crowd drain runs long past the ramp
-		cfg := experiments.DefaultEdgeExpConfig()
-		cfg.Seed = o.seed
-		points, err := experiments.RunEdgeParallel(cfg, o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatEdge(cfg, points))
-		if err := saveCSV(o.csvDir, "edge.csv", experiments.EdgeTable(points)); err != nil {
-			return err
-		}
-		if o.benchOut != "" {
-			if err := writeFile(o.benchOut, func(w io.Writer) error {
-				return experiments.WriteEdgeJSON(w, cfg, points)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.benchOut)
-		}
-	}
-	if o.exp == "saturate" { // not part of -exp all: its throughput pass is wall-clock, not simulated
-		cfg := experiments.DefaultSaturateConfig()
-		cfg.Seed = o.seed
-		cfg.Sessions = o.satSessions
-		cfg.Live = o.satLive
-		cfg.Goroutines = o.satGoroutines
-		cfg.ZipfS = o.satZipf
-		fidelity, err := experiments.RunSaturateParallel(cfg, o.sweep)
-		if err != nil {
-			return err
-		}
-		throughput, err := experiments.RunSaturateThroughputPair(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatSaturate(cfg, fidelity, throughput))
-		if err := saveCSV(o.csvDir, "saturate.csv", experiments.SaturateTable(fidelity)); err != nil {
-			return err
-		}
-		if o.benchOut != "" {
-			if err := writeFile(o.benchOut, func(w io.Writer) error {
-				return experiments.WriteSaturateJSON(w, cfg, fidelity, throughput)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.benchOut)
-		}
-	}
-	if o.exp == "transcode" { // not part of -exp all: its single-copy corpus skews the other figures' protocol
-		cfg := experiments.DefaultTranscodeConfig()
-		cfg.Seed = o.seed
-		points, err := experiments.RunTranscodeParallel(cfg, o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatTranscode(cfg, points))
-		if err := saveCSV(o.csvDir, "transcode.csv", experiments.TranscodeTable(points)); err != nil {
-			return err
-		}
-		if o.benchOut != "" {
-			if err := writeFile(o.benchOut, func(w io.Writer) error {
-				return experiments.WriteTranscodeJSON(w, cfg, points)
-			}); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.benchOut)
-		}
-	}
-	if all || o.exp == "overhead" {
-		res, err := experiments.RunOverheadParallel(o.seed, o.queries, o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatOverhead(res))
-	}
-	if all || o.exp == "chaos" {
-		cfg := experiments.DefaultChaosConfig()
-		cfg.Seed = o.seed
-		cfg.Horizon = simtime.Seconds(o.chaosSecs)
-		cfg.Trace = o.traceFile != ""
-		if o.faultsFile != "" {
-			text, err := os.ReadFile(o.faultsFile)
-			if err != nil {
-				return err
-			}
-			sched, err := faults.ParseSchedule(string(text))
-			if err != nil {
-				return err
-			}
-			cfg.Schedule = sched
-		}
-		res, err := experiments.RunChaosParallel(cfg, o.sweep)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatChaos(res))
-		if o.traceFile != "" {
-			if err := writeFile(o.traceFile, res.Trace.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.traceFile)
-		}
-		if o.metricsOut != "" {
-			if err := writeFile(o.metricsOut, res.Metrics.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Println("wrote", o.metricsOut)
-		}
-		if err := saveCSV(o.csvDir, "chaos.csv", experiments.ChaosTable(res)); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-// writeFile streams an exporter into path.
-func writeFile(path string, write func(io.Writer) error) error {
+// writeFile streams an exporter into path and reports it.
+func writeFile(stdout io.Writer, path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -417,5 +187,9 @@ func writeFile(path string, write func(io.Writer) error) error {
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, "wrote", path)
+	return nil
 }

@@ -462,14 +462,8 @@ func (m *Manager) bind(d *Delivery, p *Plan, leases []*gara.Lease, opts ServiceO
 	// farm, or parked tail lease's revocation, all land in the manager's
 	// recovery path.
 	sess.SetOnFail(func(_ *transport.Session, cause error) { m.onSessionFail(d, cause) })
-	if sourceLease != nil {
-		sourceLease.SetOnRevoke(func(cause error) { m.onSourceFail(d, cause) })
-	}
-	if farmLease != nil {
-		farmLease.SetOnRevoke(func(cause error) { m.onFarmFail(d, cause) })
-	}
-	if d.tailLease != nil {
-		d.tailLease.SetOnRevoke(func(cause error) { m.onTailFail(d, cause) })
+	for _, slot := range d.stageLeases() {
+		m.watchStageLease(d, slot)
 	}
 	if p.Split() {
 		m.met.splitAdmissions.Inc()
@@ -500,18 +494,7 @@ func (m *Manager) teardown(d *Delivery) func(*transport.Session) {
 		m.cluster.sessionEnded()
 		d.streamSpan.End()
 		d.trace.Instant("teardown", nil)
-		if d.sourceLease != nil {
-			d.sourceLease.Release()
-			d.sourceLease = nil
-		}
-		if d.farmLease != nil {
-			d.farmLease.Release()
-			d.farmLease = nil
-		}
-		if d.tailLease != nil {
-			d.tailLease.Release()
-			d.tailLease = nil
-		}
+		d.releaseStageLeases()
 		if d.opts.OnDone != nil {
 			d.opts.OnDone(d)
 		}
@@ -529,7 +512,7 @@ func (m *Manager) handover(d *Delivery, opts ServiceOptions) {
 	p := d.Plan
 	tl := d.tailLease
 	if tl == nil {
-		// The tail lease was revoked while the prefix streamed; onTailFail
+		// The tail lease was revoked while the prefix streamed; its revocation
 		// already failed the session and recovery owns the delivery.
 		return
 	}

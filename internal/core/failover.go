@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"quasaq/internal/gara"
 	"quasaq/internal/media"
 	"quasaq/internal/simtime"
 	"quasaq/internal/transport"
@@ -80,37 +81,24 @@ func (m *Manager) noteFailover(ev FailoverEvent) {
 	}
 }
 
-// onSourceFail handles revocation of a remote plan's relay lease: the
-// source of the stream is gone, so the delivery session — though its own
-// resources are intact — can no longer be fed. Fail it; recovery follows
-// through onSessionFail.
-func (m *Manager) onSourceFail(d *Delivery, cause error) {
-	d.sourceLease = nil // already reclaimed by the revocation
-	if d.Session != nil {
-		d.Session.Fail(cause)
+// watchStageLease wires the revocation of one of the delivery's stage
+// leases — a remote plan's source relay, an offloaded plan's farm
+// transcode, a split plan's parked tail leg — into the recovery path. The
+// session's own resources may be intact, but the stage that feeds it (or,
+// for the tail, the second half of the video) is gone, so the session
+// fails now and recovery follows through onSessionFail, re-planning from
+// the current position: back onto an inline transcode, another source, or
+// a plan without a boundary that would stall.
+func (m *Manager) watchStageLease(d *Delivery, slot **gara.Lease) {
+	if *slot == nil {
+		return
 	}
-}
-
-// onFarmFail handles revocation of an offloaded plan's farm-stage lease:
-// the transcoding tier can no longer feed the stream its GOPs, so the
-// session fails and recovery follows through onSessionFail, which will
-// re-plan the DAG (possibly back onto an inline transcode).
-func (m *Manager) onFarmFail(d *Delivery, cause error) {
-	d.farmLease = nil // already reclaimed by the revocation
-	if d.Session != nil {
-		d.Session.Fail(cause)
-	}
-}
-
-// onTailFail handles revocation of a split plan's parked tail-leg lease
-// while the prefix leg still streams: the second half of the video can no
-// longer be served, so the delivery fails now — a recovery from the current
-// position beats a guaranteed stall at the split boundary.
-func (m *Manager) onTailFail(d *Delivery, cause error) {
-	d.tailLease = nil // already reclaimed by the revocation
-	if d.Session != nil {
-		d.Session.Fail(cause)
-	}
+	(*slot).SetOnRevoke(func(cause error) {
+		*slot = nil // already reclaimed by the revocation
+		if d.Session != nil {
+			d.Session.Fail(cause)
+		}
+	})
 }
 
 // onSessionFail is the failure-detection entry point: an admitted session
@@ -118,18 +106,7 @@ func (m *Manager) onTailFail(d *Delivery, cause error) {
 // with it, recovery is scheduled after the detector's lag.
 func (m *Manager) onSessionFail(d *Delivery, cause error) {
 	m.cluster.sessionEnded()
-	if d.sourceLease != nil {
-		d.sourceLease.Release()
-		d.sourceLease = nil
-	}
-	if d.farmLease != nil {
-		d.farmLease.Release()
-		d.farmLease = nil
-	}
-	if d.tailLease != nil {
-		d.tailLease.Release()
-		d.tailLease = nil
-	}
+	d.releaseStageLeases()
 	m.met.sessionFailures.Inc()
 	d.failedAt = m.cluster.Sim.Now()
 	d.failedFrom = d.Plan.DeliverySite

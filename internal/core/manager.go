@@ -162,17 +162,22 @@ func (d *Delivery) Cancel() {
 		d.trace.Instant("cancel", nil)
 	}
 	d.Session.Cancel()
-	if d.sourceLease != nil {
-		d.sourceLease.Release()
-		d.sourceLease = nil
-	}
-	if d.farmLease != nil {
-		d.farmLease.Release()
-		d.farmLease = nil
-	}
-	if d.tailLease != nil {
-		d.tailLease.Release()
-		d.tailLease = nil
+	d.releaseStageLeases()
+}
+
+// stageLeases returns the slots of the delivery's stage leases beyond the
+// delivery lease itself (which the session owns).
+func (d *Delivery) stageLeases() [3]**gara.Lease {
+	return [3]**gara.Lease{&d.sourceLease, &d.farmLease, &d.tailLease}
+}
+
+// releaseStageLeases returns every stage lease the delivery still holds.
+func (d *Delivery) releaseStageLeases() {
+	for _, slot := range d.stageLeases() {
+		if *slot != nil {
+			(*slot).Release()
+			*slot = nil
+		}
 	}
 }
 

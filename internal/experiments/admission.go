@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -48,7 +47,7 @@ func DefaultAdmissionConfig() AdmissionConfig {
 // decision-latency sample (milliseconds from query arrival to the
 // admit/reject verdict, two-phase reservations included).
 type AdmissionPoint struct {
-	Load         float64
+	Load         float64 `merge:"first"`
 	Queries      int
 	Admitted     int
 	Rejected     int
@@ -56,28 +55,10 @@ type AdmissionPoint struct {
 	Latency      *stats.Sample
 
 	// Replicas counts merged replica runs (0 or 1 means a single run).
-	Replicas int
+	Replicas int `merge:"reps"`
 }
 
-func (p *AdmissionPoint) reps() int {
-	if p.Replicas < 1 {
-		return 1
-	}
-	return p.Replicas
-}
-
-// Merge folds another replica's point in: counters sum, the latency samples
-// pool (percentiles then read the cross-replica distribution).
-func (p *AdmissionPoint) Merge(o *AdmissionPoint) {
-	p.Queries += o.Queries
-	p.Admitted += o.Admitted
-	p.Rejected += o.Rejected
-	p.CtrlTimeouts += o.CtrlTimeouts
-	for _, x := range o.Latency.Values() {
-		p.Latency.Add(x)
-	}
-	p.Replicas = p.reps() + o.reps()
-}
+func (p *AdmissionPoint) reps() int { return max(1, p.Replicas) }
 
 // RunAdmissionPoint measures one load level in a hermetic world.
 func RunAdmissionPoint(cfg AdmissionConfig, load float64, seed int64) (*AdmissionPoint, error) {
@@ -128,83 +109,54 @@ func RunAdmissionPoint(cfg AdmissionConfig, load float64, seed int64) (*Admissio
 	return out, nil
 }
 
-// AdmissionScenario sweeps the load grid; each load level is a point.
-type AdmissionScenario struct {
-	Cfg AdmissionConfig
-}
-
-// Name implements runner.Scenario.
-func (s *AdmissionScenario) Name() string { return "admission" }
-
-// Points implements runner.Scenario.
-func (s *AdmissionScenario) Points() []runner.Point {
-	pts := make([]runner.Point, len(s.Cfg.Loads))
-	for i, load := range s.Cfg.Loads {
-		pts[i] = runner.Point{
-			Key:   "load-" + strconv.FormatFloat(load, 'g', -1, 64),
-			Label: fmt.Sprintf("%g qps", load),
+// Admission sweeps the load grid; each load level is a point.
+var Admission = &Spec[AdmissionConfig, *AdmissionPoint]{
+	name:  "admission",
+	inAll: true,
+	config: func(s Settings) (AdmissionConfig, error) {
+		cfg := DefaultAdmissionConfig()
+		cfg.Seed = s.Seed
+		cfg.Horizon = simtime.Seconds(s.AdmissionHorizon)
+		cfg.Ctrl = broker.Config{
+			Latency: simtime.Seconds(s.CtrlLatencyMs / 1000),
+			Timeout: simtime.Seconds(s.CtrlTimeoutMs / 1000),
+			Retries: s.CtrlRetries,
+			Loss:    s.CtrlLoss,
+			Seed:    s.Seed,
 		}
-	}
-	return pts
-}
-
-// Run implements runner.Scenario.
-func (s *AdmissionScenario) Run(p runner.Point, seed int64) (*AdmissionPoint, error) {
-	load, err := strconv.ParseFloat(strings.TrimPrefix(p.Key, "load-"), 64)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bad admission point key %q", p.Key)
-	}
-	return RunAdmissionPoint(s.Cfg, load, seed)
-}
-
-// RunAdmission runs the sweep serially.
-func RunAdmission(cfg AdmissionConfig) ([]*AdmissionPoint, error) {
-	return RunAdmissionParallel(cfg, runner.Options{})
-}
-
-// RunAdmissionParallel is RunAdmission with worker-pool and replica control.
-func RunAdmissionParallel(cfg AdmissionConfig, opts runner.Options) ([]*AdmissionPoint, error) {
-	opts.Seed = cfg.Seed
-	prs, err := runner.Sweep[*AdmissionPoint](&AdmissionScenario{Cfg: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*AdmissionPoint, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Result
-	}
-	return out, nil
-}
-
-// AdmissionTable renders the sweep as tidy CSV: one row per load level.
-// Counters of replica-merged points emit cross-replica means; the latency
-// quantiles read the pooled cross-replica sample.
-func AdmissionTable(points []*AdmissionPoint) Table {
-	t := Table{Header: []string{
-		"load_qps", "queries", "admitted", "rejected", "ctrl_timeouts",
-		"mean_ms", "p50_ms", "p95_ms", "max_ms",
-	}}
-	for _, p := range points {
-		reps := p.reps()
-		sum := p.Latency.Summary()
-		t.Rows = append(t.Rows, []string{
-			strconv.FormatFloat(p.Load, 'g', -1, 64),
-			fmtCount(p.Queries, reps),
-			fmtCount(p.Admitted, reps),
-			fmtCount(p.Rejected, reps),
-			fmtCount(p.CtrlTimeouts, reps),
-			strconv.FormatFloat(sum.Mean(), 'f', 3, 64),
-			strconv.FormatFloat(p.Latency.Percentile(50), 'f', 3, 64),
-			strconv.FormatFloat(p.Latency.Percentile(95), 'f', 3, 64),
-			strconv.FormatFloat(sum.Max(), 'f', 3, 64),
-		})
-	}
-	return t
-}
-
-// WriteAdmissionCSV writes the sweep as tidy CSV.
-func WriteAdmissionCSV(w io.Writer, points []*AdmissionPoint) error {
-	return WriteTable(w, AdmissionTable(points))
+		return cfg, nil
+	},
+	points: func(cfg AdmissionConfig) []runner.Point {
+		pts := make([]runner.Point, len(cfg.Loads))
+		for i, load := range cfg.Loads {
+			pts[i] = runner.Point{
+				Key:   "load-" + strconv.FormatFloat(load, 'g', -1, 64),
+				Label: fmt.Sprintf("%g qps", load),
+			}
+		}
+		return pts
+	},
+	run: func(cfg AdmissionConfig, key string, seed int64) (*AdmissionPoint, error) {
+		load, err := strconv.ParseFloat(strings.TrimPrefix(key, "load-"), 64)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: bad admission point key %q", key)
+		}
+		return RunAdmissionPoint(cfg, load, seed)
+	},
+	// Counters of replica-merged points emit cross-replica means; the
+	// latency quantiles read the pooled cross-replica sample.
+	columns: []column[*AdmissionPoint]{
+		num("load_qps", "%v", func(p *AdmissionPoint) float64 { return p.Load }),
+		count("queries", func(p *AdmissionPoint) int { return p.Queries }),
+		count("admitted", func(p *AdmissionPoint) int { return p.Admitted }),
+		count("rejected", func(p *AdmissionPoint) int { return p.Rejected }),
+		count("ctrl_timeouts", func(p *AdmissionPoint) int { return p.CtrlTimeouts }),
+		num("mean_ms", "%.3f", func(p *AdmissionPoint) float64 { return p.Latency.Summary().Mean() }),
+		num("p50_ms", "%.3f", func(p *AdmissionPoint) float64 { return p.Latency.Percentile(50) }),
+		num("p95_ms", "%.3f", func(p *AdmissionPoint) float64 { return p.Latency.Percentile(95) }),
+		num("max_ms", "%.3f", func(p *AdmissionPoint) float64 { return p.Latency.Summary().Max() }),
+	},
+	report: FormatAdmission,
 }
 
 // FormatAdmission renders the sweep as a report table.

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"strconv"
 	"strings"
 
 	"quasaq/internal/core"
@@ -60,7 +62,10 @@ func DefaultChaosSchedule() faults.Schedule {
 	}
 }
 
-// ChaosResult aggregates one chaos run.
+// ChaosResult aggregates one chaos run. Replica merges add up the outcome
+// counters, manager statistics, and metrics registries, while the event
+// log, fault log, and trace stay replica 0's — every replica applies the
+// identical fault schedule, so one canonical incident log suffices.
 type ChaosResult struct {
 	Queries   int
 	Admitted  int
@@ -70,40 +75,73 @@ type ChaosResult struct {
 	Abandoned int // admitted but lost to faults beyond recovery
 
 	Stats    core.ManagerStats
-	Events   []core.FailoverEvent // concluded recoveries, in sim order (replica 0's)
-	FaultLog []faults.Record      // what the injector actually applied (replica 0's)
-	Trace    *obs.Tracer          // non-nil when ChaosConfig.Trace was set (replica 0's)
-	Metrics  *obs.Registry        // cluster-wide metrics, folded across replicas
+	Events   []core.FailoverEvent `merge:"first"` // concluded recoveries, in sim order
+	FaultLog []faults.Record      `merge:"first"` // what the injector actually applied
+	Trace    *obs.Tracer          `merge:"first"` // non-nil when ChaosConfig.Trace was set
+	Metrics  *obs.Registry        // cluster-wide metrics
 
 	// Replicas counts merged replica runs (0 or 1 means a single run).
-	Replicas int
+	Replicas int `merge:"reps"`
 }
 
-// Merge folds another replica's chaos run into r: outcome counters,
-// manager statistics, and the metrics registries add up, while the event
-// log, fault log, and trace stay replica 0's — every replica applies the
-// identical fault schedule, so one canonical incident log suffices.
-func (r *ChaosResult) Merge(o *ChaosResult) {
-	r.Queries += o.Queries
-	r.Admitted += o.Admitted
-	r.Rejected += o.Rejected
-	r.Completed += o.Completed
-	r.QoSOK += o.QoSOK
-	r.Abandoned += o.Abandoned
-	r.Stats.Merge(o.Stats)
-	if err := r.Metrics.Merge(o.Metrics); err != nil {
-		// Replicas run identical configs, so their registries always share
-		// one metric layout; a mismatch is a programming error.
-		panic(fmt.Sprintf("experiments: chaos replica metrics merge: %v", err))
+// Chaos runs the fault-injection experiment as a single point; the sweep
+// dimension is the replicas, each driving the same fault schedule with an
+// independently seeded workload.
+var Chaos = &Spec[ChaosConfig, *ChaosResult]{
+	name:  "chaos",
+	inAll: true,
+	config: func(s Settings) (ChaosConfig, error) {
+		cfg := DefaultChaosConfig()
+		cfg.Seed = s.Seed
+		cfg.Horizon = simtime.Seconds(s.ChaosHorizon)
+		cfg.Trace = s.TraceFile != ""
+		if s.FaultsFile != "" {
+			text, err := os.ReadFile(s.FaultsFile)
+			if err != nil {
+				return cfg, err
+			}
+			if cfg.Schedule, err = faults.ParseSchedule(string(text)); err != nil {
+				return cfg, err
+			}
+		}
+		return cfg, nil
+	},
+	points: onePoint[ChaosConfig]("chaos", "faults + failover"),
+	run: func(cfg ChaosConfig, _ string, seed int64) (*ChaosResult, error) {
+		cfg.Seed = seed
+		return RunChaos(cfg)
+	},
+	table:  func(_ ChaosConfig, rs []*ChaosResult) Table { return ChaosTable(rs[0]) },
+	report: func(_ ChaosConfig, rs []*ChaosResult) string { return FormatChaos(rs[0]) },
+	files: func(s Settings, rs []*ChaosResult) []File {
+		var out []File
+		if s.TraceFile != "" {
+			out = append(out, File{s.TraceFile, rs[0].Trace.WriteJSON})
+		}
+		if s.MetricsFile != "" {
+			out = append(out, File{s.MetricsFile, rs[0].Metrics.WriteJSON})
+		}
+		return out
+	},
+}
+
+// ChaosTable renders the recovery events, one row per concluded recovery
+// (replica 0's event log).
+func ChaosTable(r *ChaosResult) Table {
+	t := Table{Header: []string{"time_s", "video", "from_site", "to_site", "latency_s", "frames_lost", "attempts", "outcome"}}
+	for _, ev := range r.Events {
+		t.Rows = append(t.Rows, []string{
+			strconv.FormatFloat(simtime.ToSeconds(ev.At), 'f', 3, 64),
+			strconv.FormatUint(uint64(ev.Video), 10),
+			ev.FromSite,
+			ev.ToSite,
+			strconv.FormatFloat(simtime.ToSeconds(ev.Latency), 'f', 3, 64),
+			strconv.FormatFloat(ev.Frames, 'f', 1, 64),
+			strconv.Itoa(ev.Attempts),
+			outcomeOf(ev),
+		})
 	}
-	if r.Replicas < 1 {
-		r.Replicas = 1
-	}
-	if o.Replicas < 1 {
-		r.Replicas++
-	} else {
-		r.Replicas += o.Replicas
-	}
+	return t
 }
 
 // MeanFailoverLatencySeconds is the average failure-to-resume time over

@@ -61,7 +61,7 @@ func TestChaosDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		runs[i] = res
-		if err := WriteChaosCSV(&csvs[i], res); err != nil {
+		if err := WriteTable(&csvs[i], ChaosTable(res)); err != nil {
 			t.Fatal(err)
 		}
 	}

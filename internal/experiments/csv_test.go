@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,7 +16,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, []*Series{s}); err != nil {
+	if err := WriteTable(&buf, SeriesTable([]*Series{s})); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -41,22 +38,15 @@ func TestWriteFig5CSVAndSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path, err := SaveCSV(dir, "fig5.csv", func(w io.Writer) error {
-		return WriteFig5CSV(w, res)
-	})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, Fig5Table(res)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 1+4*50 {
 		t.Fatalf("rows = %d, want %d", len(lines), 1+4*50)
 	}
-	if filepath.Base(path) != "fig5.csv" {
-		t.Fatalf("path = %s", path)
+	if lines[0] != "frame,panel,delay_ms" {
+		t.Fatalf("header = %q", lines[0])
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"quasaq/internal/runner"
@@ -10,108 +11,135 @@ import (
 
 // The Scenario/Runner contract: output bytes depend only on (config, seed,
 // replicas) — never on the worker count or goroutine scheduling. Every
-// experiment that exports CSV is pinned here for workers=1 vs workers=8 and
-// for two repeated runs with the same seed.
+// registered experiment is pinned by one table for workers=1 vs workers=8
+// and for two repeated runs with the same seed, through the same Output
+// qsqbench prints and writes: reports, side files, CSV, and JSON record.
 
 func detThroughputCfg() ThroughputConfig {
 	return ThroughputConfig{Seed: 11, Horizon: simtime.Seconds(120), Bucket: simtime.Seconds(20)}
 }
 
-// renderCSV runs an experiment under the given worker count and returns its
-// CSV bytes.
-type csvRun func(t *testing.T, workers int) []byte
+// detCase sizes one registered experiment down for the gate.
+type detCase struct {
+	cfg  func() any
+	reps int
+	// wallClock experiments measure real time in their reports and records:
+	// those still run (so every archiver and merge executes) but only the
+	// CSV is compared.
+	wallClock bool
+	// named experiments are gated by their own Test*Deterministic entry
+	// point below rather than by a subtest of TestRegistryDeterministic.
+	named bool
+}
 
-func assertDeterministic(t *testing.T, name string, run csvRun) {
+var detCases = map[string]detCase{
+	"fig5": {cfg: func() any {
+		cfg := DefaultFig5Config()
+		cfg.Frames = 120
+		return cfg
+	}, reps: 2, named: true},
+	"fig6":       {cfg: func() any { return detThroughputCfg() }, reps: 3, named: true},
+	"fig7":       {cfg: func() any { return detThroughputCfg() }, reps: 2},
+	"throughput": {cfg: func() any { return detThroughputCfg() }, reps: 2},
+	"ablation":   {cfg: func() any { return detThroughputCfg() }, reps: 2, named: true},
+	"dynamic":    {cfg: func() any { return detThroughputCfg() }, reps: 2, named: true},
+	"admission": {cfg: func() any {
+		cfg := DefaultAdmissionConfig()
+		cfg.Horizon = simtime.Seconds(40)
+		cfg.Loads = []float64{1, 4}
+		return cfg
+	}, reps: 3, named: true},
+	"overhead": {cfg: func() any { return overheadConfig{Seed: 3, Queries: 50} }, reps: 2, wallClock: true},
+	"chaos": {cfg: func() any {
+		cfg := DefaultChaosConfig()
+		cfg.Horizon = simtime.Seconds(300)
+		return cfg
+	}, reps: 3, named: true},
+	"overload":  {cfg: func() any { return detOverloadCfg() }, reps: 2, named: true},
+	"transcode": {cfg: func() any { return detTranscodeCfg() }, reps: 2, named: true},
+	"saturate": {cfg: func() any { return saturateRun{SaturateConfig: smallSaturateConfig()} },
+		reps: 2, wallClock: true, named: true},
+	"sla":  {cfg: func() any { return detSLACfg() }, reps: 2, named: true},
+	"edge": {cfg: func() any { return detEdgeCfg() }, reps: 2, named: true},
+}
+
+func TestRegistryDeterministic(t *testing.T) {
+	for _, e := range Registry() {
+		c, ok := detCases[e.Name()]
+		if !ok {
+			t.Errorf("experiment %q has no determinism case", e.Name())
+			continue
+		}
+		if !c.named {
+			t.Run(e.Name(), func(t *testing.T) { assertDeterministic(t, e.Name()) })
+		}
+	}
+}
+
+func TestFig5CSVDeterministic(t *testing.T)       { assertDeterministic(t, "fig5") }
+func TestThroughputCSVDeterministic(t *testing.T) { assertDeterministic(t, "fig6") }
+func TestAblationCSVDeterministic(t *testing.T)   { assertDeterministic(t, "ablation") }
+func TestDynamicDeterministic(t *testing.T)       { assertDeterministic(t, "dynamic") }
+func TestAdmissionCSVDeterministic(t *testing.T)  { assertDeterministic(t, "admission") }
+func TestChaosCSVDeterministic(t *testing.T)      { assertDeterministic(t, "chaos") }
+func TestOverloadCSVDeterministic(t *testing.T)   { assertDeterministic(t, "overload") }
+func TestTranscodeCSVDeterministic(t *testing.T)  { assertDeterministic(t, "transcode") }
+func TestSaturateCSVDeterministic(t *testing.T)   { assertDeterministic(t, "saturate") }
+func TestSLACSVDeterministic(t *testing.T)        { assertDeterministic(t, "sla") }
+func TestEdgeCSVDeterministic(t *testing.T)       { assertDeterministic(t, "edge") }
+
+// assertDeterministic runs one registered experiment's case serially, on
+// eight workers, and on eight workers again, and requires identical bytes.
+func assertDeterministic(t *testing.T, name string) {
 	t.Helper()
-	serial := run(t, 1)
-	parallel := run(t, 8)
-	again := run(t, 8)
+	exps, err := Select(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, c := exps[0], detCases[name]
+	render := func(workers int) []byte {
+		s := Settings{Sweep: runner.Options{Workers: workers, Replicas: c.reps}, MetricsFile: "metrics.json"}
+		out, err := e.runConfig(s, c.cfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var det, all bytes.Buffer
+		if out.CSV != nil {
+			if err := out.CSV(&det); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := io.Writer(&det)
+		if c.wallClock {
+			w = &all
+		}
+		for _, r := range out.Reports {
+			io.WriteString(w, r.Text)
+		}
+		for _, f := range out.Files {
+			if err := f.Write(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out.Record != nil {
+			if err := out.Record(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(bytes.TrimSpace(det.Bytes())) == 0 && len(bytes.TrimSpace(all.Bytes())) == 0 {
+			t.Fatalf("%s: empty output", name)
+		}
+		return det.Bytes()
+	}
+	serial := render(1)
+	parallel := render(8)
+	again := render(8)
 	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("%s: workers=1 and workers=8 CSVs differ:\n%s\nvs\n%s", name, serial, parallel)
+		t.Fatalf("%s: workers=1 and workers=8 outputs differ:\n%s\nvs\n%s", name, serial, parallel)
 	}
 	if !bytes.Equal(parallel, again) {
 		t.Fatalf("%s: two identical runs differ", name)
 	}
-	if len(bytes.TrimSpace(serial)) == 0 {
-		t.Fatalf("%s: empty CSV", name)
-	}
-}
-
-func TestThroughputCSVDeterministic(t *testing.T) {
-	assertDeterministic(t, "fig6", func(t *testing.T, workers int) []byte {
-		series, err := RunFig6Parallel(detThroughputCfg(), runner.Options{Workers: workers, Replicas: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteSeriesCSV(&buf, series); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	})
-}
-
-func TestAblationCSVDeterministic(t *testing.T) {
-	assertDeterministic(t, "ablation", func(t *testing.T, workers int) []byte {
-		series, err := RunSweep(NewAblationScenario(detThroughputCfg()), runner.Options{Workers: workers, Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteSeriesCSV(&buf, series); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	})
-}
-
-func TestFig5CSVDeterministic(t *testing.T) {
-	cfg := DefaultFig5Config()
-	cfg.Frames = 120
-	assertDeterministic(t, "fig5", func(t *testing.T, workers int) []byte {
-		res, err := RunFig5Parallel(cfg, runner.Options{Workers: workers, Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteFig5CSV(&buf, res); err != nil {
-			t.Fatal(err)
-		}
-		// Fold the merged summaries in too: Table 2's moments must also be
-		// scheduling-independent.
-		buf.WriteString(FormatTable2(Table2(res)))
-		return buf.Bytes()
-	})
-}
-
-func TestChaosCSVDeterministic(t *testing.T) {
-	cfg := DefaultChaosConfig()
-	cfg.Horizon = simtime.Seconds(300)
-	assertDeterministic(t, "chaos", func(t *testing.T, workers int) []byte {
-		res, err := RunChaosParallel(cfg, runner.Options{Workers: workers, Replicas: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteChaosCSV(&buf, res); err != nil {
-			t.Fatal(err)
-		}
-		// The merged metrics registry must also export identically.
-		if err := res.Metrics.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	})
-}
-
-func TestDynamicDeterministic(t *testing.T) {
-	assertDeterministic(t, "dynamic", func(t *testing.T, workers int) []byte {
-		res, err := RunDynamicReplicationParallel(detThroughputCfg(), runner.Options{Workers: workers, Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []byte(FormatDynamic(res))
-	})
 }
 
 // A single-replica sweep must reproduce the plain serial driver exactly:
@@ -122,7 +150,7 @@ func TestSingleReplicaMatchesSerialRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := RunFig6Parallel(cfg, runner.Options{Workers: 8})
+	series, err := RunSweep(Fig6, cfg, runner.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +177,7 @@ func TestReplicaMergeMatchesIndividualRuns(t *testing.T) {
 		wantQueries += s.Queries
 		wantQoSOK += s.QoSOK
 	}
-	series, err := RunFig6Parallel(cfg, runner.Options{Workers: 4, Replicas: reps})
+	series, err := RunSweep(Fig6, cfg, runner.Options{Workers: 4, Replicas: reps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,21 +188,4 @@ func TestReplicaMergeMatchesIndividualRuns(t *testing.T) {
 	if got.Queries != wantQueries || got.QoSOK != wantQoSOK {
 		t.Fatalf("merged counters %d/%d, want %d/%d", got.Queries, got.QoSOK, wantQueries, wantQoSOK)
 	}
-}
-
-func TestAdmissionCSVDeterministic(t *testing.T) {
-	cfg := DefaultAdmissionConfig()
-	cfg.Horizon = simtime.Seconds(40)
-	cfg.Loads = []float64{1, 4}
-	assertDeterministic(t, "admission", func(t *testing.T, workers int) []byte {
-		points, err := RunAdmissionParallel(cfg, runner.Options{Workers: workers, Replicas: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteAdmissionCSV(&buf, points); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	})
 }

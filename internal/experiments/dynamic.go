@@ -13,25 +13,52 @@ import (
 	"quasaq/internal/workload"
 )
 
-// DynamicResult compares QuaSAQ starting from single-copy storage with and
-// without the online replicator (the §2 item 1 extension): the replicator
-// should materialize the demanded quality ladder over time and close most
-// of the throughput gap to offline full replication.
-type DynamicResult struct {
-	StaticSingle    *Series // single-copy, no online replication
-	DynamicSingle   *Series // single-copy + online replication
-	FullReplica     *Series // offline full ladder (upper reference)
+// DynamicPoint is one configuration of the dynamic-replication comparison:
+// its throughput series plus the replicator's own outcomes (zero for the
+// static configurations).
+type DynamicPoint struct {
+	Series          *Series
 	ReplicasCreated int
-	// Halves splits the dynamic run's admission rate: convergence shows as
-	// a higher second half.
-	DynamicAdmitFirstHalf  float64
-	DynamicAdmitSecondHalf float64
+	AdmitFirstHalf  float64 `merge:"mean"`
+	AdmitSecondHalf float64 `merge:"mean"`
+	// Replicas counts merged replica runs (0 or 1 means a single run).
+	Replicas int `merge:"reps"`
 }
 
-// RunDynamicReplication runs the three configurations on identical query
-// streams. It is the serial-compatible wrapper over the dynamic scenario.
-func RunDynamicReplication(cfg ThroughputConfig) (*DynamicResult, error) {
-	return RunDynamicReplicationParallel(cfg, runner.Options{})
+// Dynamic compares QuaSAQ starting from single-copy storage with and
+// without the online replicator (the §2 item 1 extension) against offline
+// full replication, on identical query streams: the replicator should
+// materialize the demanded quality ladder over time and close most of the
+// throughput gap to the full ladder.
+var Dynamic = &Spec[ThroughputConfig, *DynamicPoint]{
+	name:   "dynamic",
+	inAll:  true,
+	config: fig6Config,
+	points: func(ThroughputConfig) []runner.Point {
+		return []runner.Point{
+			{Key: "single-static", Label: "single-copy, static"},
+			{Key: "single-dynamic", Label: "single-copy + dynamic"},
+			{Key: "full", Label: "offline full ladder"},
+		}
+	},
+	run: func(cfg ThroughputConfig, key string, seed int64) (*DynamicPoint, error) {
+		cfg.Seed = seed
+		switch key {
+		case "single-dynamic":
+			return runDynamicSingle(cfg)
+		case "single-static":
+			cfg.SingleCopy = true
+		case "full":
+		default:
+			return nil, fmt.Errorf("experiments: unknown dynamic variant %q", key)
+		}
+		series, err := RunThroughput(SysQuaSAQ, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &DynamicPoint{Series: series}, nil
+	},
+	report: func(_ ThroughputConfig, points []*DynamicPoint) string { return FormatDynamic(points) },
 }
 
 // runDynamicSingle is the hermetic single-copy + online-replication cell:
@@ -106,8 +133,10 @@ func runDynamicSingle(cfg ThroughputConfig) (*DynamicPoint, error) {
 	}, nil
 }
 
-// FormatDynamic renders the comparison.
-func FormatDynamic(r *DynamicResult) string {
+// FormatDynamic renders the comparison of Dynamic's three points. The
+// admission-rate halves show convergence as a higher second half.
+func FormatDynamic(points []*DynamicPoint) string {
+	static, dynamic, full := points[0], points[1], points[2]
 	var b strings.Builder
 	b.WriteString("Dynamic replication (extension of §2 item 1: single-copy start)\n")
 	fmt.Fprintf(&b, "%-28s %10s %10s %10s\n", "Configuration", "SteadyOut", "Admitted", "QoS-OK")
@@ -115,11 +144,11 @@ func FormatDynamic(r *DynamicResult) string {
 		fmt.Fprintf(&b, "%-28s %10.1f %10s %10s\n",
 			name, s.SteadyOutstanding(), fmtCount(s.Admitted, s.Reps()), fmtCount(s.QoSOK, s.Reps()))
 	}
-	row("single-copy, static", r.StaticSingle)
-	row("single-copy + dynamic", r.DynamicSingle)
-	row("offline full ladder", r.FullReplica)
-	fmt.Fprintf(&b, "replicas materialized online: %d\n", r.ReplicasCreated)
+	row("single-copy, static", static.Series)
+	row("single-copy + dynamic", dynamic.Series)
+	row("offline full ladder", full.Series)
+	fmt.Fprintf(&b, "replicas materialized online: %d\n", dynamic.ReplicasCreated/max(1, dynamic.Replicas))
 	fmt.Fprintf(&b, "dynamic admission rate: %.2f/s first half -> %.2f/s second half\n",
-		r.DynamicAdmitFirstHalf, r.DynamicAdmitSecondHalf)
+		dynamic.AdmitFirstHalf, dynamic.AdmitSecondHalf)
 	return b.String()
 }

@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"quasaq/internal/core"
 	"quasaq/internal/edgecache"
 	"quasaq/internal/media"
 	"quasaq/internal/metadata"
+	"quasaq/internal/qos"
 	"quasaq/internal/replication"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
@@ -102,11 +101,7 @@ func (c EdgeExpConfig) Horizon() simtime.Time {
 type EdgePoint struct {
 	Mode string
 
-	Queries   int
-	Admitted  int
-	Rejected  int
-	Completed int
-	Failed    int
+	Tally
 
 	SplitAdmissions uint64
 	Handovers       uint64
@@ -119,40 +114,10 @@ type EdgePoint struct {
 
 	Edge edgecache.Stats
 
-	Replicas int
+	Replicas int `merge:"reps"`
 }
 
-func (p *EdgePoint) reps() int {
-	if p.Replicas < 1 {
-		return 1
-	}
-	return p.Replicas
-}
-
-// Merge folds another replica's point in.
-func (p *EdgePoint) Merge(o *EdgePoint) {
-	p.Queries += o.Queries
-	p.Admitted += o.Admitted
-	p.Rejected += o.Rejected
-	p.Completed += o.Completed
-	p.Failed += o.Failed
-	p.SplitAdmissions += o.SplitAdmissions
-	p.Handovers += o.Handovers
-	for _, x := range o.Startup.Values() {
-		p.Startup.Add(x)
-	}
-	p.OriginBytes += o.OriginBytes
-	p.EdgeBytes += o.EdgeBytes
-	p.Edge.Hits += o.Edge.Hits
-	p.Edge.Misses += o.Edge.Misses
-	p.Edge.Installs += o.Edge.Installs
-	p.Edge.Evictions += o.Edge.Evictions
-	p.Edge.NeighborFills += o.Edge.NeighborFills
-	p.Edge.OriginFills += o.Edge.OriginFills
-	p.Edge.Promotions += o.Edge.Promotions
-	p.Edge.BytesUsed += o.Edge.BytesUsed
-	p.Replicas = p.reps() + o.reps()
-}
+func (p *EdgePoint) reps() int { return max(1, p.Replicas) }
 
 // RejectRate returns rejected / queries.
 func (p *EdgePoint) RejectRate() float64 {
@@ -226,30 +191,20 @@ func RunEdgePoint(cfg EdgeExpConfig, mode string, seed int64) (*EdgePoint, error
 		ZipfSkew:         cfg.ZipfSkew,
 		Phases:           cfg.Phases,
 	})
-	gen.Drive(sim, cfg.Horizon(), func(r workload.Request) {
-		out.Queries++
-		if ec != nil {
-			ec.Observe(r.Site, r.Video)
-		}
-		mgr.ServiceAsync(r.Site, r.Video, r.Req, core.ServiceOptions{
-			OnDone:   func(*core.Delivery) { out.Completed++ },
-			OnFailed: func(*core.Delivery, error) { out.Failed++ },
-		}, func(d *core.Delivery, err error) {
-			if err != nil {
-				out.Rejected++
-				return
+	if err := out.serveAll("edge", sim, mgr, gen, cfg.Horizon(), serveHooks{
+		arrive: func(r workload.Request) qos.Requirement {
+			if ec != nil {
+				ec.Observe(r.Site, r.Video)
 			}
-			out.Admitted++
-			out.observeAdmission(cfg, cluster, d, jitter)
-		})
-	})
-	sim.Run()
-
-	if got := out.Admitted + out.Rejected; got != out.Queries {
-		return nil, fmt.Errorf("experiments: %d of %d edge admissions never settled", out.Queries-got, out.Queries)
-	}
-	if got := out.Completed + out.Failed; got != out.Admitted {
-		return nil, fmt.Errorf("experiments: %d of %d edge sessions never concluded", out.Admitted-got, out.Admitted)
+			return r.Req
+		},
+		verdict: func(d *core.Delivery, err error, _ simtime.Time) {
+			if err == nil {
+				out.observeAdmission(cfg, cluster, d, jitter)
+			}
+		},
+	}); err != nil {
+		return nil, err
 	}
 	ms := mgr.Stats()
 	out.SplitAdmissions = ms.SplitAdmissions
@@ -301,85 +256,50 @@ func (out *EdgePoint) observeAdmission(cfg EdgeExpConfig, cluster *core.Cluster,
 	}
 }
 
-// EdgeScenario sweeps the two modes as runner points.
-type EdgeScenario struct {
-	Cfg EdgeExpConfig
-}
-
-// Name implements runner.Scenario.
-func (s *EdgeScenario) Name() string { return "edge" }
-
-// Points implements runner.Scenario.
-func (s *EdgeScenario) Points() []runner.Point {
-	return []runner.Point{
-		{Key: EdgeModeOff, Label: "origin-only"},
-		{Key: EdgeModeOn, Label: "edge tier"},
-	}
-}
-
-// Run implements runner.Scenario.
-func (s *EdgeScenario) Run(p runner.Point, seed int64) (*EdgePoint, error) {
-	return RunEdgePoint(s.Cfg, p.Key, seed)
-}
-
-// RunEdge runs both modes serially.
-func RunEdge(cfg EdgeExpConfig) ([]*EdgePoint, error) {
-	return RunEdgeParallel(cfg, runner.Options{})
-}
-
-// RunEdgeParallel is RunEdge with worker-pool and replica control.
-func RunEdgeParallel(cfg EdgeExpConfig, opts runner.Options) ([]*EdgePoint, error) {
-	opts.Seed = cfg.Seed
-	prs, err := runner.Sweep[*EdgePoint](&EdgeScenario{Cfg: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*EdgePoint, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Result
-	}
-	return out, nil
-}
-
-// EdgeTable renders the comparison as tidy CSV: one row per mode.
-func EdgeTable(points []*EdgePoint) Table {
-	t := Table{Header: []string{
-		"mode", "queries", "admitted", "rejected", "reject_rate",
-		"completed", "failed", "split_admissions", "handovers",
-		"startup_ms_p50", "startup_ms_p90", "startup_ms_p99",
-		"edge_hit_ratio", "edge_installs", "edge_evictions", "edge_promotions",
-		"origin_mb", "edge_mb", "origin_offload",
-	}}
-	for _, p := range points {
-		reps := p.reps()
-		t.Rows = append(t.Rows, []string{
-			p.Mode,
-			fmtCount(p.Queries, reps),
-			fmtCount(p.Admitted, reps),
-			fmtCount(p.Rejected, reps),
-			fmt.Sprintf("%.4f", p.RejectRate()),
-			fmtCount(p.Completed, reps),
-			fmtCount(p.Failed, reps),
-			fmtCount(int(p.SplitAdmissions), reps),
-			fmtCount(int(p.Handovers), reps),
-			fmt.Sprintf("%.2f", p.Startup.Percentile(50)),
-			fmt.Sprintf("%.2f", p.Startup.Percentile(90)),
-			fmt.Sprintf("%.2f", p.Startup.Percentile(99)),
-			fmt.Sprintf("%.4f", p.Edge.HitRatio()),
-			fmtCount(int(p.Edge.Installs), reps),
-			fmtCount(int(p.Edge.Evictions), reps),
-			fmtCount(int(p.Edge.Promotions), reps),
-			fmt.Sprintf("%.1f", float64(p.OriginBytes)/float64(reps)/(1<<20)),
-			fmt.Sprintf("%.1f", float64(p.EdgeBytes)/float64(reps)/(1<<20)),
-			fmt.Sprintf("%.4f", p.OffloadFraction()),
-		})
-	}
-	return t
-}
-
-// WriteEdgeCSV writes the comparison as tidy CSV.
-func WriteEdgeCSV(w io.Writer, points []*EdgePoint) error {
-	return WriteTable(w, EdgeTable(points))
+// Edge sweeps the two modes as runner points. Not part of -exp all: the
+// flash-crowd drain runs long past the ramp.
+var Edge = &Spec[EdgeExpConfig, *EdgePoint]{
+	name: "edge",
+	config: func(s Settings) (EdgeExpConfig, error) {
+		cfg := DefaultEdgeExpConfig()
+		cfg.Seed = s.Seed
+		return cfg, nil
+	},
+	points: func(EdgeExpConfig) []runner.Point {
+		return []runner.Point{
+			{Key: EdgeModeOff, Label: "origin-only"},
+			{Key: EdgeModeOn, Label: "edge tier"},
+		}
+	},
+	run: RunEdgePoint,
+	columns: []column[*EdgePoint]{
+		label("mode", func(p *EdgePoint) string { return p.Mode }),
+		count("queries", func(p *EdgePoint) int { return p.Queries }),
+		count("admitted", func(p *EdgePoint) int { return p.Admitted }),
+		count("rejected", func(p *EdgePoint) int { return p.Rejected }),
+		num("reject_rate", "%.4f", (*EdgePoint).RejectRate),
+		count("completed", func(p *EdgePoint) int { return p.Completed }),
+		count("failed", func(p *EdgePoint) int { return p.Failed }),
+		count("split_admissions", func(p *EdgePoint) int { return int(p.SplitAdmissions) }),
+		count("handovers", func(p *EdgePoint) int { return int(p.Handovers) }),
+		num("startup_ms_p50", "%.2f", func(p *EdgePoint) float64 { return p.Startup.Percentile(50) }),
+		num("startup_ms_p90", "%.2f", func(p *EdgePoint) float64 { return p.Startup.Percentile(90) }),
+		num("startup_ms_p99", "%.2f", func(p *EdgePoint) float64 { return p.Startup.Percentile(99) }),
+		num("edge_hit_ratio", "%.4f", func(p *EdgePoint) float64 { return p.Edge.HitRatio() }),
+		count("edge_installs", func(p *EdgePoint) int { return int(p.Edge.Installs) }),
+		count("edge_evictions", func(p *EdgePoint) int { return int(p.Edge.Evictions) }),
+		count("edge_promotions", func(p *EdgePoint) int { return int(p.Edge.Promotions) }),
+		mean("origin_mb", "%.1f", func(p *EdgePoint) float64 { return float64(p.OriginBytes) / (1 << 20) }),
+		mean("edge_mb", "%.1f", func(p *EdgePoint) float64 { return float64(p.EdgeBytes) / (1 << 20) }),
+		num("origin_offload", "%.4f", (*EdgePoint).OffloadFraction),
+	},
+	report: FormatEdge,
+	archive: &archive[EdgeExpConfig, *EdgePoint]{
+		rows: "modes",
+		head: func(c EdgeExpConfig, reps int) object {
+			return append(horizonHead(EdgeExpConfig.Horizon)(c, reps), field{"zipf_skew", c.ZipfSkew})
+		},
+	},
 }
 
 // FormatEdge renders the comparison as a console table.
@@ -405,74 +325,4 @@ func FormatEdge(cfg EdgeExpConfig, points []*EdgePoint) string {
 			p.OffloadFraction())
 	}
 	return strings.TrimRight(b.String(), "\n")
-}
-
-// edgeBench is the archived benchmark record (BENCH_edge.json).
-type edgeBench struct {
-	Experiment string           `json:"experiment"`
-	Seed       int64            `json:"seed"`
-	Replicas   int              `json:"replicas"`
-	HorizonS   float64          `json:"horizon_s"`
-	ZipfSkew   float64          `json:"zipf_skew"`
-	Modes      []edgeBenchPoint `json:"modes"`
-}
-
-type edgeBenchPoint struct {
-	Mode            string  `json:"mode"`
-	Queries         int     `json:"queries"`
-	Admitted        int     `json:"admitted"`
-	Rejected        int     `json:"rejected"`
-	RejectRate      float64 `json:"reject_rate"`
-	Completed       int     `json:"completed"`
-	Failed          int     `json:"failed"`
-	SplitAdmissions uint64  `json:"split_admissions"`
-	Handovers       uint64  `json:"handovers"`
-	StartupP50Ms    float64 `json:"startup_ms_p50"`
-	StartupP90Ms    float64 `json:"startup_ms_p90"`
-	StartupP99Ms    float64 `json:"startup_ms_p99"`
-	EdgeHitRatio    float64 `json:"edge_hit_ratio"`
-	EdgeInstalls    uint64  `json:"edge_installs"`
-	EdgeEvictions   uint64  `json:"edge_evictions"`
-	EdgePromotions  uint64  `json:"edge_promotions"`
-	OriginMB        float64 `json:"origin_mb"`
-	EdgeMB          float64 `json:"edge_mb"`
-	OriginOffload   float64 `json:"origin_offload"`
-}
-
-// WriteEdgeJSON archives the run as an indented JSON benchmark record.
-func WriteEdgeJSON(w io.Writer, cfg EdgeExpConfig, points []*EdgePoint) error {
-	b := edgeBench{
-		Experiment: "edge",
-		Seed:       cfg.Seed,
-		HorizonS:   simtime.ToSeconds(cfg.Horizon()),
-		ZipfSkew:   cfg.ZipfSkew,
-	}
-	for _, p := range points {
-		reps := p.reps()
-		b.Replicas = reps
-		b.Modes = append(b.Modes, edgeBenchPoint{
-			Mode:            p.Mode,
-			Queries:         p.Queries,
-			Admitted:        p.Admitted,
-			Rejected:        p.Rejected,
-			RejectRate:      p.RejectRate(),
-			Completed:       p.Completed,
-			Failed:          p.Failed,
-			SplitAdmissions: p.SplitAdmissions,
-			Handovers:       p.Handovers,
-			StartupP50Ms:    p.Startup.Percentile(50),
-			StartupP90Ms:    p.Startup.Percentile(90),
-			StartupP99Ms:    p.Startup.Percentile(99),
-			EdgeHitRatio:    p.Edge.HitRatio(),
-			EdgeInstalls:    p.Edge.Installs,
-			EdgeEvictions:   p.Edge.Evictions,
-			EdgePromotions:  p.Edge.Promotions,
-			OriginMB:        float64(p.OriginBytes) / float64(reps) / (1 << 20),
-			EdgeMB:          float64(p.EdgeBytes) / float64(reps) / (1 << 20),
-			OriginOffload:   p.OffloadFraction(),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"quasaq/internal/runner"
@@ -21,22 +20,8 @@ func detEdgeCfg() EdgeExpConfig {
 	return cfg
 }
 
-func TestEdgeCSVDeterministic(t *testing.T) {
-	assertDeterministic(t, "edge", func(t *testing.T, workers int) []byte {
-		points, err := RunEdgeParallel(detEdgeCfg(), runner.Options{Workers: workers, Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteEdgeCSV(&buf, points); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	})
-}
-
 func TestEdgeModeSemantics(t *testing.T) {
-	points, err := RunEdge(detEdgeCfg())
+	points, err := RunSweep(Edge, detEdgeCfg(), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 )
 
@@ -111,7 +112,7 @@ func shortThroughputConfig() ThroughputConfig {
 }
 
 func TestFig6Shape(t *testing.T) {
-	series, err := RunFig6(shortThroughputConfig())
+	series, err := RunSweep(Fig6, shortThroughputConfig(), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFig6Shape(t *testing.T) {
 func TestFig7Shape(t *testing.T) {
 	cfg := shortThroughputConfig()
 	cfg.Seed = 13
-	series, err := RunFig7(cfg)
+	series, err := RunSweep(Fig7, cfg, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,18 @@
 // Package experiments contains one harness per table and figure of the
 // paper's evaluation (§5): Figure 5 and Table 2 (inter-frame delay under
 // contention), Figure 6 (throughput of VDBMS vs VDBMS+QoS API vs QuaSAQ),
-// Figure 7 (LRB vs randomized cost model), and the §5.2 overhead analysis.
-// Each harness builds a fresh simulated testbed, runs the paper's workload,
-// and returns the series the paper plots, plus formatted text output for
-// the qsqbench CLI and EXPERIMENTS.md.
+// Figure 7 (LRB vs randomized cost model), and the §5.2 overhead analysis,
+// plus the extensions built on them (dynamic replication, admission,
+// chaos, overload, transcode, saturate, sla, edge). Each harness builds
+// fresh simulated testbeds, runs its workload, and returns what the paper
+// plots, plus formatted text output for the qsqbench CLI and
+// EXPERIMENTS.md. Every experiment is one Spec in the ordered registry of
+// experiment.go, which qsqbench and the determinism tests iterate.
 package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"quasaq/internal/core"
@@ -39,34 +43,20 @@ func DefaultFig5Config() Fig5Config {
 	return Fig5Config{Seed: 1, Frames: 1000, Contention: 45}
 }
 
-// DelayPanel is one of Figure 5's four panels.
+// DelayPanel is one of Figure 5's four panels. Replica merges fold the
+// delay summaries (tightening Table 2's moments) while the plotted
+// per-frame trace and the playout report stay replica 0's — one canonical
+// trace, statistics over all replicas.
 type DelayPanel struct {
 	Label      string
-	Delays     []float64 // per-frame inter-frame delays, ms (replica 0's trace)
+	Delays     []float64 `merge:"first"` // per-frame inter-frame delays, ms
 	InterFrame *stats.Summary
 	InterGOP   *stats.Summary
 	// Playout is the user-perceived consequence: a client with a one-GOP
-	// buffer playing the traced frames (replica 0's trace).
-	Playout transport.PlayoutReport
+	// buffer playing the traced frames.
+	Playout transport.PlayoutReport `merge:"first"`
 	// Replicas counts merged replica runs (0 or 1 means a single run).
-	Replicas int
-}
-
-// Merge folds another replica's panel into p: the delay summaries absorb
-// the extra samples (tightening Table 2's moments), while the plotted
-// per-frame trace and the playout report stay replica 0's — one canonical
-// trace, statistics over all replicas.
-func (p *DelayPanel) Merge(o *DelayPanel) {
-	p.InterFrame.Merge(o.InterFrame)
-	p.InterGOP.Merge(o.InterGOP)
-	if p.Replicas < 1 {
-		p.Replicas = 1
-	}
-	if o.Replicas < 1 {
-		p.Replicas++
-	} else {
-		p.Replicas += o.Replicas
-	}
+	Replicas int `merge:"reps"`
 }
 
 // Fig5Result bundles the four panels; Table 2 is derived from the same
@@ -82,13 +72,89 @@ type Fig5Result struct {
 // 23.97 fps, long enough for a 1000-frame trace.
 const measuredVideoID media.VideoID = 7
 
-// RunFig5 reproduces Figure 5: the same video streamed under the original
+// fig5Panels is the canonical panel order of Fig5Result.Panels.
+var fig5Panels = []struct {
+	key    string
+	label  string
+	quasaq bool
+	loaded bool // high contention
+}{
+	{"vdbms-low", "VDBMS, Low contention", false, false},
+	{"quasaq-low", "VDBMS+QuaSAQ, Low contention", true, false},
+	{"vdbms-high", "VDBMS, High contention", false, true},
+	{"quasaq-high", "VDBMS+QuaSAQ, High contention", true, true},
+}
+
+// Fig5 reproduces Figure 5 — the same video streamed under the original
 // VDBMS (best-effort, round-robin CPU) and under QuaSAQ (reserved CPU and
 // bandwidth), each at low and high contention, tracing server-side
-// inter-frame delays. It is the serial-compatible wrapper over the fig5
-// scenario; RunFig5Parallel adds worker-pool and replica control.
+// inter-frame delays — with Table 2 as a second report over the same run.
+var Fig5 = &Spec[Fig5Config, *DelayPanel]{
+	name:  "fig5",
+	inAll: true,
+	config: func(s Settings) (Fig5Config, error) {
+		return Fig5Config{Seed: s.Seed, Frames: s.Frames, Contention: s.Contention}, nil
+	},
+	points: func(Fig5Config) []runner.Point {
+		pts := make([]runner.Point, len(fig5Panels))
+		for i, sp := range fig5Panels {
+			pts[i] = runner.Point{Key: sp.key, Label: sp.label}
+		}
+		return pts
+	},
+	run: func(cfg Fig5Config, key string, seed int64) (*DelayPanel, error) {
+		for _, sp := range fig5Panels {
+			if sp.key != key {
+				continue
+			}
+			cfg.Seed = seed
+			contention := 0
+			if sp.loaded {
+				contention = cfg.Contention
+			}
+			return runFig5Panel(cfg, sp.quasaq, contention, sp.label)
+		}
+		return nil, fmt.Errorf("experiments: unknown fig5 panel %q", key)
+	},
+	table:  func(cfg Fig5Config, panels []*DelayPanel) Table { return Fig5Table(fig5Result(cfg, panels)) },
+	report: func(cfg Fig5Config, panels []*DelayPanel) string { return FormatFig5(fig5Result(cfg, panels)) },
+	reports: []namedReport[Fig5Config, *DelayPanel]{{"table2", func(cfg Fig5Config, panels []*DelayPanel) string {
+		return FormatTable2(Table2(fig5Result(cfg, panels)))
+	}}},
+}
+
+// RunFig5 runs Figure 5 serially (one replica).
 func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
-	return RunFig5Parallel(cfg, runner.Options{})
+	panels, err := RunSweep(Fig5, cfg, runner.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return fig5Result(cfg, panels), nil
+}
+
+// fig5Result assembles the swept panels in canonical order.
+func fig5Result(cfg Fig5Config, panels []*DelayPanel) *Fig5Result {
+	res := &Fig5Result{IdealMillis: idealMillis(cfg.Seed)}
+	for i, p := range panels {
+		res.Panels[i] = *p
+	}
+	return res
+}
+
+// Fig5Table renders the four delay panels: frame, panel, delay_ms
+// (replica 0's trace).
+func Fig5Table(r *Fig5Result) Table {
+	t := Table{Header: []string{"frame", "panel", "delay_ms"}}
+	for _, p := range r.Panels {
+		for i, d := range p.Delays {
+			t.Rows = append(t.Rows, []string{
+				strconv.Itoa(i),
+				p.Label,
+				strconv.FormatFloat(d, 'f', 3, 64),
+			})
+		}
+	}
+	return t
 }
 
 // idealMillis is the theoretical inter-frame delay of the measured video.
@@ -98,6 +164,9 @@ func idealMillis(seed int64) float64 {
 }
 
 func runFig5Panel(cfg Fig5Config, quasaq bool, contention int, label string) (*DelayPanel, error) {
+	if cfg.Frames <= 0 {
+		cfg.Frames = 1000
+	}
 	sim := simtime.NewSimulator()
 	cluster := core.TestbedCluster(sim)
 	corpus := media.StandardCorpus(uint64(cfg.Seed))

@@ -18,44 +18,40 @@ import (
 // is (a) the query-time planning work (the paper: "a few milliseconds ...
 // negligible") and (b) the soft-real-time scheduler's maintenance (the
 // paper measured 0.16 ms per 10 ms quantum, 1.6%, on its hardware).
+// Replica merges sum the counters and average the rates over replicas
+// (every replica times the same number of queries).
 type OverheadResult struct {
 	Queries           int
-	PlansPerQuery     float64
-	PlanMicrosPerQry  float64 // cold-cache wall-clock planning+admission cost per query
-	WarmMicrosPerQry  float64 // same workload replayed against a warm candidate cache
+	PlansPerQuery     float64 `merge:"mean"`
+	PlanMicrosPerQry  float64 `merge:"mean"` // cold-cache wall-clock planning+admission cost per query
+	WarmMicrosPerQry  float64 `merge:"mean"` // same workload replayed against a warm candidate cache
 	CacheHits         uint64  // plan-cache hits over both passes
 	CacheMisses       uint64  // plan-cache misses (cold fills)
-	SchedulerOverhead float64 // fraction of CPU spent on dispatch bookkeeping
-	DispatchesPerSec  float64
+	SchedulerOverhead float64 `merge:"mean"` // fraction of CPU spent on dispatch bookkeeping
+	DispatchesPerSec  float64 `merge:"mean"`
 
 	// Replicas counts merged replica runs (0 or 1 means a single run).
-	Replicas int
+	Replicas int `merge:"reps"`
 }
 
-func (r *OverheadResult) reps() float64 {
-	if r.Replicas < 1 {
-		return 1
-	}
-	return float64(r.Replicas)
+type overheadConfig struct {
+	Seed    int64
+	Queries int
 }
 
-// Merge folds another replica's measurement into r: per-query costs average
-// weighted by query count, cache and query counters sum, and the scheduler
-// figures average weighted by replica count.
-func (r *OverheadResult) Merge(o *OverheadResult) {
-	qa, qb := float64(r.Queries), float64(o.Queries)
-	if qa+qb > 0 {
-		r.PlansPerQuery = (r.PlansPerQuery*qa + o.PlansPerQuery*qb) / (qa + qb)
-		r.PlanMicrosPerQry = (r.PlanMicrosPerQry*qa + o.PlanMicrosPerQry*qb) / (qa + qb)
-		r.WarmMicrosPerQry = (r.WarmMicrosPerQry*qa + o.WarmMicrosPerQry*qb) / (qa + qb)
-	}
-	ra, rb := r.reps(), o.reps()
-	r.SchedulerOverhead = (r.SchedulerOverhead*ra + o.SchedulerOverhead*rb) / (ra + rb)
-	r.DispatchesPerSec = (r.DispatchesPerSec*ra + o.DispatchesPerSec*rb) / (ra + rb)
-	r.Queries += o.Queries
-	r.CacheHits += o.CacheHits
-	r.CacheMisses += o.CacheMisses
-	r.Replicas = int(ra + rb)
+// Overhead times the planner and scheduler bookkeeping; replicas rerun the
+// measurement on independent workload seeds and average.
+var Overhead = &Spec[overheadConfig, *OverheadResult]{
+	name:  "overhead",
+	inAll: true,
+	config: func(s Settings) (overheadConfig, error) {
+		return overheadConfig{Seed: s.Seed, Queries: s.OverheadQueries}, nil
+	},
+	points: onePoint[overheadConfig]("overhead", "planner + scheduler overhead"),
+	run: func(cfg overheadConfig, _ string, seed int64) (*OverheadResult, error) {
+		return RunOverhead(seed, cfg.Queries)
+	},
+	report: func(_ overheadConfig, rs []*OverheadResult) string { return FormatOverhead(rs[0]) },
 }
 
 // RunOverhead measures both overheads.

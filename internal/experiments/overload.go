@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"quasaq/internal/broker"
@@ -91,14 +89,9 @@ func (c OverloadConfig) Horizon() simtime.Time {
 type OverloadPoint struct {
 	Variant string
 
-	Queries      int
-	Admitted     int
-	Rejected     int
+	Tally
 	Expired      int // rejections carrying ErrAdmissionDeadline
 	CtrlTimeouts int // rejections carrying ErrControlTimeout
-	Completed    int
-	QoSOK        int
-	Failed       int // admitted but lost (faults or guardian abandonment)
 	QoSAbandoned int // failures carrying ErrQoSAbandoned
 
 	Latency *stats.Sample // admission decision latency, ms from arrival
@@ -110,61 +103,10 @@ type OverloadPoint struct {
 	BreakerOpenSeconds float64
 
 	// Replicas counts merged replica runs (0 or 1 means a single run).
-	Replicas int
+	Replicas int `merge:"reps"`
 }
 
-func (p *OverloadPoint) reps() int {
-	if p.Replicas < 1 {
-		return 1
-	}
-	return p.Replicas
-}
-
-// Merge folds another replica's point in: counters sum, latency samples
-// pool, guardian counters add.
-func (p *OverloadPoint) Merge(o *OverloadPoint) {
-	p.Queries += o.Queries
-	p.Admitted += o.Admitted
-	p.Rejected += o.Rejected
-	p.Expired += o.Expired
-	p.CtrlTimeouts += o.CtrlTimeouts
-	p.Completed += o.Completed
-	p.QoSOK += o.QoSOK
-	p.Failed += o.Failed
-	p.QoSAbandoned += o.QoSAbandoned
-	for _, x := range o.Latency.Values() {
-		p.Latency.Add(x)
-	}
-	p.Guardian = addGuardianStats(p.Guardian, o.Guardian)
-	p.BreakerOpens += o.BreakerOpens
-	p.BreakerFastFails += o.BreakerFastFails
-	p.RetriesSuppressed += o.RetriesSuppressed
-	p.BreakerOpenSeconds += o.BreakerOpenSeconds
-	p.Replicas = p.reps() + o.reps()
-}
-
-// addGuardianStats sums two guardian counter snapshots field by field.
-func addGuardianStats(a, b guardian.Stats) guardian.Stats {
-	a.Watched += b.Watched
-	a.Windows += b.Windows
-	a.Breaches += b.Breaches
-	a.Violations += b.Violations
-	a.ViolatedSessions += b.ViolatedSessions
-	a.StepDowns += b.StepDowns
-	a.Renegotiates += b.Renegotiates
-	a.Migrations += b.Migrations
-	a.Abandons += b.Abandons
-	a.ReplanFailures += b.ReplanFailures
-	a.SavedStepDown += b.SavedStepDown
-	a.SavedRenegotiate += b.SavedRenegotiate
-	a.SavedMigrate += b.SavedMigrate
-	a.LossViolations += b.LossViolations
-	a.DelayViolations += b.DelayViolations
-	a.JitterViolations += b.JitterViolations
-	a.ThroughputViolations += b.ThroughputViolations
-	a.QoERecords += b.QoERecords
-	return a
-}
+func (p *OverloadPoint) reps() int { return max(1, p.Replicas) }
 
 // SavedRate is violated sessions rescued by rungs 1–3 over all violated
 // sessions (0 when nothing violated).
@@ -250,46 +192,23 @@ func RunOverloadPoint(cfg OverloadConfig, variant string, seed int64) (*Overload
 		MeanInterArrival: simtime.Seconds(1 / cfg.BaseLoad),
 		Phases:           cfg.Phases,
 	})
-	gen.Drive(sim, cfg.Horizon(), func(r workload.Request) {
-		out.Queries++
-		arrived := sim.Now()
-		mgr.ServiceAsync(r.Site, r.Video, r.Req, core.ServiceOptions{
-			OnDone: func(d *core.Delivery) {
-				out.Completed++
-				if d.Session.QoSOK() {
-					out.QoSOK++
-				}
-			},
-			OnFailed: func(_ *core.Delivery, err error) {
-				out.Failed++
-				if errors.Is(err, guardian.ErrQoSAbandoned) {
-					out.QoSAbandoned++
-				}
-			},
-		}, func(_ *core.Delivery, err error) {
-			out.Latency.Add(1000 * simtime.ToSeconds(sim.Now()-arrived))
-			if err != nil {
-				out.Rejected++
-				if errors.Is(err, core.ErrAdmissionDeadline) {
-					out.Expired++
-				}
-				if errors.Is(err, core.ErrControlTimeout) {
-					out.CtrlTimeouts++
-				}
-				return
+	if err := out.serveAll("overload", sim, mgr, gen, cfg.Horizon(), serveHooks{
+		verdict: func(_ *core.Delivery, err error, wait simtime.Time) {
+			out.Latency.Add(1000 * simtime.ToSeconds(wait))
+			if errors.Is(err, core.ErrAdmissionDeadline) {
+				out.Expired++
 			}
-			out.Admitted++
-		})
-	})
-	// Drain completely: arrivals, faults, recoveries, guardian windows, and
-	// streams are all finite, so the event queue empties.
-	sim.Run()
-
-	if got := out.Admitted + out.Rejected; got != out.Queries {
-		return nil, fmt.Errorf("experiments: %d of %d overload admissions never settled", out.Queries-got, out.Queries)
-	}
-	if got := out.Completed + out.Failed; got != out.Admitted {
-		return nil, fmt.Errorf("experiments: %d of %d overload sessions never concluded", out.Admitted-got, out.Admitted)
+			if errors.Is(err, core.ErrControlTimeout) {
+				out.CtrlTimeouts++
+			}
+		},
+		failed: func(err error) {
+			if errors.Is(err, guardian.ErrQoSAbandoned) {
+				out.QoSAbandoned++
+			}
+		},
+	}); err != nil {
+		return nil, err
 	}
 	if guard != nil {
 		out.Guardian = guard.Stats()
@@ -302,134 +221,87 @@ func RunOverloadPoint(cfg OverloadConfig, variant string, seed int64) (*Overload
 	return out, nil
 }
 
-// OverloadScenario runs the baseline and guarded variants as two points.
-type OverloadScenario struct {
-	Cfg OverloadConfig
-}
-
-// Name implements runner.Scenario.
-func (s *OverloadScenario) Name() string { return "overload" }
-
-// Points implements runner.Scenario.
-func (s *OverloadScenario) Points() []runner.Point {
-	return []runner.Point{
-		{Key: "baseline", Label: "no protections"},
-		{Key: "guarded", Label: "guardian + breaker + queue"},
-	}
-}
-
-// Run implements runner.Scenario.
-func (s *OverloadScenario) Run(p runner.Point, seed int64) (*OverloadPoint, error) {
-	return RunOverloadPoint(s.Cfg, p.Key, seed)
-}
-
-// RunOverload runs the pair serially.
-func RunOverload(cfg OverloadConfig) ([]*OverloadPoint, error) {
-	return RunOverloadParallel(cfg, runner.Options{})
-}
-
-// RunOverloadParallel is RunOverload with worker-pool and replica control.
-func RunOverloadParallel(cfg OverloadConfig, opts runner.Options) ([]*OverloadPoint, error) {
-	opts.Seed = cfg.Seed
-	prs, err := runner.Sweep[*OverloadPoint](&OverloadScenario{Cfg: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*OverloadPoint, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Result
-	}
-	return out, nil
-}
-
-// OverloadTable renders the pair as tidy CSV: one row per variant.
-// Counter columns of replica-merged points emit cross-replica means; the
-// latency quantiles read the pooled cross-replica sample.
-func OverloadTable(points []*OverloadPoint) Table {
-	t := Table{Header: []string{
-		"variant", "queries", "admitted", "rejected", "expired", "ctrl_timeouts",
-		"completed", "qos_ok", "failed", "qos_abandoned",
-		"violations", "violated_sessions", "stepdowns", "renegotiates", "migrations", "abandons", "saved",
-		"breaker_opens", "breaker_fastfails", "retries_suppressed", "breaker_open_s",
-		"adm_mean_ms", "adm_p50_ms", "adm_p95_ms", "adm_p99_ms", "adm_max_ms",
-	}}
-	for _, p := range points {
-		reps := p.reps()
-		sum := p.Latency.Summary()
-		g := p.Guardian
-		t.Rows = append(t.Rows, []string{
-			p.Variant,
-			fmtCount(p.Queries, reps),
-			fmtCount(p.Admitted, reps),
-			fmtCount(p.Rejected, reps),
-			fmtCount(p.Expired, reps),
-			fmtCount(p.CtrlTimeouts, reps),
-			fmtCount(p.Completed, reps),
-			fmtCount(p.QoSOK, reps),
-			fmtCount(p.Failed, reps),
-			fmtCount(p.QoSAbandoned, reps),
-			fmtCount(int(g.Violations), reps),
-			fmtCount(int(g.ViolatedSessions), reps),
-			fmtCount(int(g.StepDowns), reps),
-			fmtCount(int(g.Renegotiates), reps),
-			fmtCount(int(g.Migrations), reps),
-			fmtCount(int(g.Abandons), reps),
-			fmtCount(int(g.Saved()), reps),
-			fmtCount(int(p.BreakerOpens), reps),
-			fmtCount(int(p.BreakerFastFails), reps),
-			fmtCount(int(p.RetriesSuppressed), reps),
-			fmt.Sprintf("%.3f", p.BreakerOpenSeconds/float64(reps)),
-			fmt.Sprintf("%.3f", sum.Mean()),
-			fmt.Sprintf("%.3f", p.Latency.Percentile(50)),
-			fmt.Sprintf("%.3f", p.Latency.Percentile(95)),
-			fmt.Sprintf("%.3f", p.Latency.Percentile(99)),
-			fmt.Sprintf("%.3f", sum.Max()),
-		})
-	}
-	return t
-}
-
-// WriteOverloadCSV writes the pair as tidy CSV.
-func WriteOverloadCSV(w io.Writer, points []*OverloadPoint) error {
-	return WriteTable(w, OverloadTable(points))
-}
-
-// overloadBench is the archived benchmark record (BENCH_overload.json).
-type overloadBench struct {
-	Experiment string               `json:"experiment"`
-	Seed       int64                `json:"seed"`
-	Replicas   int                  `json:"replicas"`
-	HorizonS   float64              `json:"horizon_s"`
-	Variants   []overloadBenchPoint `json:"variants"`
-	// Headline comparisons.
-	SavedRate          float64 `json:"guardian_saved_rate"`
-	AbandonRate        float64 `json:"guardian_abandon_rate"`
-	BaselineP99Ms      float64 `json:"baseline_admission_p99_ms"`
-	GuardedP99Ms       float64 `json:"guarded_admission_p99_ms"`
-	P99ImprovementFrac float64 `json:"admission_p99_improvement_frac"`
-}
-
-type overloadBenchPoint struct {
-	Variant           string         `json:"variant"`
-	Queries           int            `json:"queries"`
-	Admitted          int            `json:"admitted"`
-	Rejected          int            `json:"rejected"`
-	Expired           int            `json:"expired"`
-	CtrlTimeouts      int            `json:"ctrl_timeouts"`
-	Completed         int            `json:"completed"`
-	QoSOK             int            `json:"qos_ok"`
-	Failed            int            `json:"failed"`
-	QoSAbandoned      int            `json:"qos_abandoned"`
-	Guardian          guardian.Stats `json:"guardian"`
-	BreakerOpens      uint64         `json:"breaker_opens"`
-	BreakerFastFails  uint64         `json:"breaker_fastfails"`
-	RetriesSuppressed uint64         `json:"retries_suppressed"`
-	BreakerOpenS      float64        `json:"breaker_open_s"`
-	AdmMeanMs         float64        `json:"adm_mean_ms"`
-	AdmP50Ms          float64        `json:"adm_p50_ms"`
-	AdmP95Ms          float64        `json:"adm_p95_ms"`
-	AdmP99Ms          float64        `json:"adm_p99_ms"`
-	AdmMaxMs          float64        `json:"adm_max_ms"`
+// Overload runs the baseline and guarded variants as two points. Not part
+// of -exp all: the drain runs long past the ramp.
+var Overload = &Spec[OverloadConfig, *OverloadPoint]{
+	name: "overload",
+	config: func(s Settings) (OverloadConfig, error) {
+		cfg := DefaultOverloadConfig()
+		cfg.Seed = s.Seed
+		if s.OverloadScale != 1 {
+			if s.OverloadScale <= 0 {
+				return cfg, fmt.Errorf("non-positive -overload-scale %v", s.OverloadScale)
+			}
+			for i := range cfg.Phases {
+				cfg.Phases[i].Duration = simtime.Time(float64(cfg.Phases[i].Duration) * s.OverloadScale)
+			}
+			for i := range cfg.Schedule {
+				cfg.Schedule[i].At = simtime.Time(float64(cfg.Schedule[i].At) * s.OverloadScale)
+			}
+		}
+		return cfg, nil
+	},
+	points: func(OverloadConfig) []runner.Point {
+		return []runner.Point{
+			{Key: "baseline", Label: "no protections"},
+			{Key: "guarded", Label: "guardian + breaker + queue"},
+		}
+	},
+	run: RunOverloadPoint,
+	// The CSV flattens the guardian counters the JSON record nests; latency
+	// quantiles read the pooled cross-replica sample.
+	columns: []column[*OverloadPoint]{
+		label("variant", func(p *OverloadPoint) string { return p.Variant }),
+		count("queries", func(p *OverloadPoint) int { return p.Queries }),
+		count("admitted", func(p *OverloadPoint) int { return p.Admitted }),
+		count("rejected", func(p *OverloadPoint) int { return p.Rejected }),
+		count("expired", func(p *OverloadPoint) int { return p.Expired }),
+		count("ctrl_timeouts", func(p *OverloadPoint) int { return p.CtrlTimeouts }),
+		count("completed", func(p *OverloadPoint) int { return p.Completed }),
+		count("qos_ok", func(p *OverloadPoint) int { return p.QoSOK }),
+		count("failed", func(p *OverloadPoint) int { return p.Failed }),
+		count("qos_abandoned", func(p *OverloadPoint) int { return p.QoSAbandoned }),
+		csvOnly(count("violations", func(p *OverloadPoint) int { return int(p.Guardian.Violations) })),
+		csvOnly(count("violated_sessions", func(p *OverloadPoint) int { return int(p.Guardian.ViolatedSessions) })),
+		csvOnly(count("stepdowns", func(p *OverloadPoint) int { return int(p.Guardian.StepDowns) })),
+		csvOnly(count("renegotiates", func(p *OverloadPoint) int { return int(p.Guardian.Renegotiates) })),
+		csvOnly(count("migrations", func(p *OverloadPoint) int { return int(p.Guardian.Migrations) })),
+		csvOnly(count("abandons", func(p *OverloadPoint) int { return int(p.Guardian.Abandons) })),
+		csvOnly(count("saved", func(p *OverloadPoint) int { return int(p.Guardian.Saved()) })),
+		jsonOnly("guardian", func(p *OverloadPoint) any { return p.Guardian }),
+		count("breaker_opens", func(p *OverloadPoint) int { return int(p.BreakerOpens) }),
+		count("breaker_fastfails", func(p *OverloadPoint) int { return int(p.BreakerFastFails) }),
+		count("retries_suppressed", func(p *OverloadPoint) int { return int(p.RetriesSuppressed) }),
+		total("breaker_open_s", "%.3f", func(p *OverloadPoint) float64 { return p.BreakerOpenSeconds }),
+		num("adm_mean_ms", "%.3f", func(p *OverloadPoint) float64 { return p.Latency.Summary().Mean() }),
+		num("adm_p50_ms", "%.3f", func(p *OverloadPoint) float64 { return p.Latency.Percentile(50) }),
+		num("adm_p95_ms", "%.3f", func(p *OverloadPoint) float64 { return p.Latency.Percentile(95) }),
+		num("adm_p99_ms", "%.3f", func(p *OverloadPoint) float64 { return p.Latency.Percentile(99) }),
+		num("adm_max_ms", "%.3f", func(p *OverloadPoint) float64 { return p.Latency.Summary().Max() }),
+	},
+	report: FormatOverload,
+	archive: &archive[OverloadConfig, *OverloadPoint]{
+		rows: "variants",
+		head: horizonHead(OverloadConfig.Horizon),
+		// Headline comparisons.
+		tail: func(_ OverloadConfig, points []*OverloadPoint) object {
+			var saved, abandon, baseP99, guardP99, gain float64
+			if base, guard := overloadVariant(points, "baseline"), overloadVariant(points, "guarded"); base != nil && guard != nil {
+				saved, abandon = guard.SavedRate(), guard.AbandonRate()
+				baseP99, guardP99 = base.Latency.Percentile(99), guard.Latency.Percentile(99)
+				if baseP99 > 0 {
+					gain = 1 - guardP99/baseP99
+				}
+			}
+			return object{
+				{"guardian_saved_rate", saved},
+				{"guardian_abandon_rate", abandon},
+				{"baseline_admission_p99_ms", baseP99},
+				{"guarded_admission_p99_ms", guardP99},
+				{"admission_p99_improvement_frac", gain},
+			}
+		},
+	},
 }
 
 // overloadVariant finds a named variant in the pair (nil if absent).
@@ -440,53 +312,6 @@ func overloadVariant(points []*OverloadPoint, name string) *OverloadPoint {
 		}
 	}
 	return nil
-}
-
-// WriteOverloadJSON archives the run as an indented JSON benchmark record.
-func WriteOverloadJSON(w io.Writer, cfg OverloadConfig, points []*OverloadPoint) error {
-	b := overloadBench{
-		Experiment: "overload",
-		Seed:       cfg.Seed,
-		HorizonS:   simtime.ToSeconds(cfg.Horizon()),
-	}
-	for _, p := range points {
-		sum := p.Latency.Summary()
-		b.Replicas = p.reps()
-		b.Variants = append(b.Variants, overloadBenchPoint{
-			Variant:           p.Variant,
-			Queries:           p.Queries,
-			Admitted:          p.Admitted,
-			Rejected:          p.Rejected,
-			Expired:           p.Expired,
-			CtrlTimeouts:      p.CtrlTimeouts,
-			Completed:         p.Completed,
-			QoSOK:             p.QoSOK,
-			Failed:            p.Failed,
-			QoSAbandoned:      p.QoSAbandoned,
-			Guardian:          p.Guardian,
-			BreakerOpens:      p.BreakerOpens,
-			BreakerFastFails:  p.BreakerFastFails,
-			RetriesSuppressed: p.RetriesSuppressed,
-			BreakerOpenS:      p.BreakerOpenSeconds,
-			AdmMeanMs:         sum.Mean(),
-			AdmP50Ms:          p.Latency.Percentile(50),
-			AdmP95Ms:          p.Latency.Percentile(95),
-			AdmP99Ms:          p.Latency.Percentile(99),
-			AdmMaxMs:          sum.Max(),
-		})
-	}
-	if base, guard := overloadVariant(points, "baseline"), overloadVariant(points, "guarded"); base != nil && guard != nil {
-		b.SavedRate = guard.SavedRate()
-		b.AbandonRate = guard.AbandonRate()
-		b.BaselineP99Ms = base.Latency.Percentile(99)
-		b.GuardedP99Ms = guard.Latency.Percentile(99)
-		if b.BaselineP99Ms > 0 {
-			b.P99ImprovementFrac = 1 - b.GuardedP99Ms/b.BaselineP99Ms
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }
 
 // FormatOverload renders the pair the way an operator compares them: what

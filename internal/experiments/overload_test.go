@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"quasaq/internal/faults"
@@ -28,20 +27,6 @@ func detOverloadCfg() OverloadConfig {
 	return cfg
 }
 
-func TestOverloadCSVDeterministic(t *testing.T) {
-	assertDeterministic(t, "overload", func(t *testing.T, workers int) []byte {
-		points, err := RunOverloadParallel(detOverloadCfg(), runner.Options{Workers: workers, Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteOverloadCSV(&buf, points); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	})
-}
-
 // The headline robustness claims: the ladder rescues a meaningful share of
 // violating sessions short of abandonment, and the breaker+queue pair cuts
 // the admission tail when a site goes dark under load.
@@ -50,7 +35,7 @@ func TestOverloadAcceptance(t *testing.T) {
 		t.Skip("full overload ramp in -short mode")
 	}
 	cfg := DefaultOverloadConfig()
-	points, err := RunOverloadParallel(cfg, runner.Options{Workers: 2})
+	points, err := RunSweep(Overload, cfg, runner.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

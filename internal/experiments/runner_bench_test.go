@@ -16,10 +16,9 @@ import (
 
 func benchSweep(b *testing.B, workers int) {
 	cfg := ThroughputConfig{Seed: 11, Horizon: simtime.Seconds(200), Bucket: simtime.Seconds(20)}
-	sc := NewFig6Scenario(cfg)
 	b.ReportMetric(float64(workers), "workers")
 	for i := 0; i < b.N; i++ {
-		series, err := RunSweep(sc, runner.Options{Workers: workers, Replicas: 4})
+		series, err := RunSweep(Fig6, cfg, runner.Options{Workers: workers, Replicas: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,10 +43,11 @@ func BenchmarkRunnerCell(b *testing.B) {
 	}
 }
 
-// Example documents the parallel entry point.
+// Example documents the sweep entry point: any registered Spec, one config,
+// worker-pool and replica control.
 func ExampleRunSweep() {
 	cfg := ThroughputConfig{Seed: 11, Horizon: simtime.Seconds(60), Bucket: simtime.Seconds(20)}
-	series, err := RunSweep(NewFig7Scenario(cfg), runner.Options{Workers: 2, Replicas: 2})
+	series, err := RunSweep(Fig7, cfg, runner.Options{Workers: 2, Replicas: 2})
 	if err != nil {
 		panic(err)
 	}

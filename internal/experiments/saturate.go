@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -147,34 +144,22 @@ func saturateWorld(live int) (*gara.Node, *broker.Coordinator, error) {
 	return node, broker.NewCoordinator(net, reg), nil
 }
 
-// SaturatePoint is one fidelity-mode outcome.
+// SaturatePoint is one fidelity-mode outcome. Replica merges sum the
+// counters; the window and the hash stay replica 0's (replicas draw
+// different streams by design).
 type SaturatePoint struct {
 	Mode     string
 	Sessions int
-	Live     int
+	Live     int `merge:"first"`
 	Admitted int
 	Rejected int
 	// DecisionHash is FNV-1a over the admit/reject sequence — the byte-level
 	// identity the broker and vsa modes must share.
-	DecisionHash uint64
-	Replicas     int
+	DecisionHash uint64 `merge:"first"`
+	Replicas     int    `merge:"reps"`
 }
 
-func (p *SaturatePoint) reps() int {
-	if p.Replicas < 1 {
-		return 1
-	}
-	return p.Replicas
-}
-
-// Merge folds another replica in: counters sum; the hash stays replica 0's
-// canonical sequence (replicas draw different streams by design).
-func (p *SaturatePoint) Merge(o *SaturatePoint) {
-	p.Sessions += o.Sessions
-	p.Admitted += o.Admitted
-	p.Rejected += o.Rejected
-	p.Replicas = p.reps() + o.reps()
-}
+func (p *SaturatePoint) reps() int { return max(1, p.Replicas) }
 
 // RunSaturatePoint replays the stream serially through one mode and hashes
 // every decision.
@@ -245,57 +230,70 @@ func RunSaturatePoint(cfg SaturateConfig, mode string, seed int64) (*SaturatePoi
 	return out, nil
 }
 
-// SaturateScenario runs the two fidelity modes as sweep points.
-type SaturateScenario struct {
-	Cfg SaturateConfig
+// saturateRun is one saturate invocation: the config plus the wall-clock
+// throughput pass that follows the fidelity sweep.
+type saturateRun struct {
+	SaturateConfig
+	throughput []*SaturateThroughput
 }
 
-// Name implements runner.Scenario.
-func (s *SaturateScenario) Name() string { return "saturate" }
-
-// Points implements runner.Scenario.
-func (s *SaturateScenario) Points() []runner.Point {
-	return []runner.Point{
-		{Key: "broker", Label: "broker-serialized slow path"},
-		{Key: "vsa", Label: "vsa accumulator fast path"},
-	}
-}
-
-// Run implements runner.Scenario.
-func (s *SaturateScenario) Run(p runner.Point, seed int64) (*SaturatePoint, error) {
-	return RunSaturatePoint(s.Cfg, p.Key, seed)
-}
-
-// RunSaturateParallel sweeps the fidelity pair on the worker pool.
-func RunSaturateParallel(cfg SaturateConfig, opts runner.Options) ([]*SaturatePoint, error) {
-	opts.Seed = cfg.Seed
-	prs, err := runner.Sweep[*SaturatePoint](&SaturateScenario{Cfg: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*SaturatePoint, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Result
-	}
-	return out, nil
-}
-
-// SaturateTable renders the fidelity pass as tidy CSV. Wall-clock numbers
-// are deliberately absent: every column here is deterministic.
-func SaturateTable(points []*SaturatePoint) Table {
-	t := Table{Header: []string{"mode", "sessions", "live", "admitted", "rejected", "decision_hash"}}
-	for _, p := range points {
-		reps := p.reps()
-		t.Rows = append(t.Rows, []string{
-			p.Mode,
-			fmtCount(p.Sessions, reps),
-			strconv.Itoa(p.Live),
-			fmtCount(p.Admitted, reps),
-			fmtCount(p.Rejected, reps),
-			fmt.Sprintf("%016x", p.DecisionHash),
-		})
-	}
-	return t
+// Saturate runs the two fidelity modes as sweep points, then the wall-clock
+// throughput pair. Not part of -exp all: its throughput pass is wall-clock,
+// not simulated. Wall-clock numbers stay out of the CSV, so every CSV
+// column is deterministic.
+var Saturate = &Spec[saturateRun, *SaturatePoint]{
+	name: "saturate",
+	config: func(s Settings) (saturateRun, error) {
+		cfg := DefaultSaturateConfig()
+		cfg.Seed = s.Seed
+		cfg.Sessions = s.Sessions
+		cfg.Live = s.Live
+		cfg.Goroutines = s.Goroutines
+		cfg.ZipfS = s.Zipf
+		return saturateRun{SaturateConfig: cfg}, nil
+	},
+	points: func(saturateRun) []runner.Point {
+		return []runner.Point{
+			{Key: "broker", Label: "broker-serialized slow path"},
+			{Key: "vsa", Label: "vsa accumulator fast path"},
+		}
+	},
+	run: func(r saturateRun, mode string, seed int64) (*SaturatePoint, error) {
+		return RunSaturatePoint(r.SaturateConfig, mode, seed)
+	},
+	after: func(r *saturateRun, _ []*SaturatePoint) (err error) {
+		r.throughput, err = RunSaturateThroughputPair(r.SaturateConfig)
+		return err
+	},
+	columns: []column[*SaturatePoint]{
+		label("mode", func(p *SaturatePoint) string { return p.Mode }),
+		csvOnly(count("sessions", func(p *SaturatePoint) int { return p.Sessions })),
+		csvOnly(exact("live", func(p *SaturatePoint) int { return p.Live })),
+		count("admitted", func(p *SaturatePoint) int { return p.Admitted }),
+		count("rejected", func(p *SaturatePoint) int { return p.Rejected }),
+		label("decision_hash", func(p *SaturatePoint) string { return fmt.Sprintf("%016x", p.DecisionHash) }),
+	},
+	report: func(r saturateRun, points []*SaturatePoint) string {
+		return FormatSaturate(r.SaturateConfig, points, r.throughput)
+	},
+	archive: &archive[saturateRun, *SaturatePoint]{
+		rows: "fidelity",
+		head: func(r saturateRun, _ int) object {
+			return object{{"seed", r.Seed}, {"sessions", r.Sessions}, {"live", r.Live}, {"zipf_s", r.ZipfS}, {"videos", r.Videos}}
+		},
+		// The headline: do the two paths agree, and what does the fast path buy.
+		tail: func(r saturateRun, points []*SaturatePoint) object {
+			speedup := 0.0
+			if base, fast := saturateThroughputMode(r.throughput, "baseline"), saturateThroughputMode(r.throughput, "vsa"); base != nil && fast != nil && base.AdmissionsPerSec > 0 {
+				speedup = fast.AdmissionsPerSec / base.AdmissionsPerSec
+			}
+			return object{
+				{"decision_hashes_match", len(points) == 2 && points[0].DecisionHash == points[1].DecisionHash},
+				{"throughput", r.throughput},
+				{"admissions_per_sec_speedup_x", speedup},
+			}
+		},
+	},
 }
 
 // SaturateThroughput is one wall-clock benchmark outcome.
@@ -416,9 +414,7 @@ func RunSaturateThroughput(cfg SaturateConfig, mode string) (*SaturateThroughput
 	for i := range shards {
 		out.Admitted += shards[i].admitted
 		out.Rejected += shards[i].rejected
-		for _, x := range shards[i].lat.Values() {
-			lat.Add(x)
-		}
+		lat.Merge(shards[i].lat)
 	}
 	if elapsed > 0 {
 		out.AdmissionsPerSec = float64(cfg.Sessions) / elapsed
@@ -442,27 +438,6 @@ func RunSaturateThroughputPair(cfg SaturateConfig) ([]*SaturateThroughput, error
 	return out, nil
 }
 
-// saturateBench is the archived benchmark record (BENCH_admission_scale.json).
-type saturateBench struct {
-	Experiment  string                `json:"experiment"`
-	Seed        int64                 `json:"seed"`
-	Sessions    int                   `json:"sessions"`
-	Live        int                   `json:"live"`
-	ZipfS       float64               `json:"zipf_s"`
-	Videos      int                   `json:"videos"`
-	Fidelity    []saturateBenchPoint  `json:"fidelity"`
-	HashesMatch bool                  `json:"decision_hashes_match"`
-	Throughput  []*SaturateThroughput `json:"throughput"`
-	SpeedupX    float64               `json:"admissions_per_sec_speedup_x"`
-}
-
-type saturateBenchPoint struct {
-	Mode         string `json:"mode"`
-	Admitted     int    `json:"admitted"`
-	Rejected     int    `json:"rejected"`
-	DecisionHash string `json:"decision_hash"`
-}
-
 // saturateThroughputMode finds a named throughput mode (nil if absent).
 func saturateThroughputMode(ts []*SaturateThroughput, mode string) *SaturateThroughput {
 	for _, t := range ts {
@@ -471,38 +446,6 @@ func saturateThroughputMode(ts []*SaturateThroughput, mode string) *SaturateThro
 		}
 	}
 	return nil
-}
-
-// WriteSaturateJSON archives both passes as an indented JSON benchmark
-// record, with the headline speedup of the vsa path over the
-// broker-serialized baseline.
-func WriteSaturateJSON(w io.Writer, cfg SaturateConfig, fidelity []*SaturatePoint, throughput []*SaturateThroughput) error {
-	b := saturateBench{
-		Experiment: "saturate",
-		Seed:       cfg.Seed,
-		Sessions:   cfg.Sessions,
-		Live:       cfg.Live,
-		ZipfS:      cfg.ZipfS,
-		Videos:     cfg.Videos,
-		Throughput: throughput,
-	}
-	for _, p := range fidelity {
-		b.Fidelity = append(b.Fidelity, saturateBenchPoint{
-			Mode:         p.Mode,
-			Admitted:     p.Admitted,
-			Rejected:     p.Rejected,
-			DecisionHash: fmt.Sprintf("%016x", p.DecisionHash),
-		})
-	}
-	if len(fidelity) == 2 {
-		b.HashesMatch = fidelity[0].DecisionHash == fidelity[1].DecisionHash
-	}
-	if base, fast := saturateThroughputMode(throughput, "baseline"), saturateThroughputMode(throughput, "vsa"); base != nil && fast != nil && base.AdmissionsPerSec > 0 {
-		b.SpeedupX = fast.AdmissionsPerSec / base.AdmissionsPerSec
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }
 
 // FormatSaturate renders both passes the way an operator reads them:

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"quasaq/internal/runner"
@@ -21,7 +20,7 @@ func smallSaturateConfig() SaturateConfig {
 // same admit/reject call on every session of a saturated stream — the
 // fixed-point bookkeeping may never change a decision.
 func TestSaturateFidelityHashesMatch(t *testing.T) {
-	points, err := RunSaturateParallel(smallSaturateConfig(), runner.Options{})
+	points, err := RunSweep(Saturate, saturateRun{SaturateConfig: smallSaturateConfig()}, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,26 +43,6 @@ func TestSaturateFidelityHashesMatch(t *testing.T) {
 	// A stream that never rejects (or never admits) pins nothing.
 	if broker.Admitted == 0 || broker.Rejected == 0 {
 		t.Fatalf("workload produced admitted=%d rejected=%d, want both nonzero", broker.Admitted, broker.Rejected)
-	}
-}
-
-// TestSaturateCSVDeterministic pins the worker-count independence the CSV
-// determinism smoke in CI relies on.
-func TestSaturateCSVDeterministic(t *testing.T) {
-	cfg := smallSaturateConfig()
-	render := func(workers int) []byte {
-		points, err := RunSaturateParallel(cfg, runner.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteTable(&buf, SaturateTable(points)); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if one, eight := render(1), render(8); !bytes.Equal(one, eight) {
-		t.Fatalf("saturate CSV differs between 1 and 8 workers:\n%s\nvs\n%s", one, eight)
 	}
 }
 

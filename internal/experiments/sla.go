@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"quasaq/internal/broker"
@@ -94,13 +92,8 @@ type SLAPoint struct {
 	Tier   string
 	Clause string // canonical clause text (Requirement.String of the net terms)
 
-	Queries       int
-	Admitted      int
-	Rejected      int
+	Tally
 	Unsatisfiable int // rejections carrying core.ErrQoSUnsatisfiable
-	Completed     int
-	QoSOK         int
-	Failed        int
 	Abandoned     int // failures carrying guardian.ErrQoSAbandoned
 
 	Guardian guardian.Stats
@@ -117,40 +110,10 @@ type SLAPoint struct {
 	DelaySeverity *stats.Sample // ms
 	LossSeverity  *stats.Sample // fraction
 
-	Replicas int
+	Replicas int `merge:"reps"`
 }
 
-func (p *SLAPoint) reps() int {
-	if p.Replicas < 1 {
-		return 1
-	}
-	return p.Replicas
-}
-
-// Merge folds another replica's point in: counters sum, severity samples
-// pool, guardian counters add.
-func (p *SLAPoint) Merge(o *SLAPoint) {
-	p.Queries += o.Queries
-	p.Admitted += o.Admitted
-	p.Rejected += o.Rejected
-	p.Unsatisfiable += o.Unsatisfiable
-	p.Completed += o.Completed
-	p.QoSOK += o.QoSOK
-	p.Failed += o.Failed
-	p.Abandoned += o.Abandoned
-	p.Guardian = addGuardianStats(p.Guardian, o.Guardian)
-	p.QoERows += o.QoERows
-	p.QoEViolations += o.QoEViolations
-	p.QoERecovered += o.QoERecovered
-	p.QoEPeaks += o.QoEPeaks
-	for _, x := range o.DelaySeverity.Values() {
-		p.DelaySeverity.Add(x)
-	}
-	for _, x := range o.LossSeverity.Values() {
-		p.LossSeverity.Add(x)
-	}
-	p.Replicas = p.reps() + o.reps()
-}
+func (p *SLAPoint) reps() int { return max(1, p.Replicas) }
 
 // slaTier finds a tier by name.
 func (c SLAConfig) slaTier(name string) (SLATier, bool) {
@@ -222,40 +185,20 @@ func RunSLAPoint(cfg SLAConfig, tierName string, seed int64) (*SLAPoint, error) 
 		MeanInterArrival: simtime.Seconds(1 / cfg.BaseLoad),
 		Phases:           cfg.Phases,
 	})
-	gen.Drive(sim, cfg.Horizon(), func(r workload.Request) {
-		out.Queries++
-		req := r.Req.WithNet(clause...)
-		mgr.ServiceAsync(r.Site, r.Video, req, core.ServiceOptions{
-			OnDone: func(d *core.Delivery) {
-				out.Completed++
-				if d.Session.QoSOK() {
-					out.QoSOK++
-				}
-			},
-			OnFailed: func(_ *core.Delivery, err error) {
-				out.Failed++
-				if errors.Is(err, guardian.ErrQoSAbandoned) {
-					out.Abandoned++
-				}
-			},
-		}, func(_ *core.Delivery, err error) {
-			if err != nil {
-				out.Rejected++
-				if errors.Is(err, core.ErrQoSUnsatisfiable) {
-					out.Unsatisfiable++
-				}
-				return
+	if err := out.serveAll("SLA", sim, mgr, gen, cfg.Horizon(), serveHooks{
+		arrive: func(r workload.Request) qos.Requirement { return r.Req.WithNet(clause...) },
+		verdict: func(_ *core.Delivery, err error, _ simtime.Time) {
+			if errors.Is(err, core.ErrQoSUnsatisfiable) {
+				out.Unsatisfiable++
 			}
-			out.Admitted++
-		})
-	})
-	sim.Run()
-
-	if got := out.Admitted + out.Rejected; got != out.Queries {
-		return nil, fmt.Errorf("experiments: %d of %d SLA admissions never settled", out.Queries-got, out.Queries)
-	}
-	if got := out.Completed + out.Failed; got != out.Admitted {
-		return nil, fmt.Errorf("experiments: %d of %d SLA sessions never concluded", out.Admitted-got, out.Admitted)
+		},
+		failed: func(err error) {
+			if errors.Is(err, guardian.ErrQoSAbandoned) {
+				out.Abandoned++
+			}
+		},
+	}); err != nil {
+		return nil, err
 	}
 	out.Guardian = guard.Stats()
 	if err := out.readQoE(cluster.Engine); err != nil {
@@ -304,92 +247,53 @@ func (p *SLAPoint) readQoE(e *vdbms.Engine) error {
 	return nil
 }
 
-// SLAScenario sweeps the configured tiers as runner points.
-type SLAScenario struct {
-	Cfg SLAConfig
-}
-
-// Name implements runner.Scenario.
-func (s *SLAScenario) Name() string { return "sla" }
-
-// Points implements runner.Scenario.
-func (s *SLAScenario) Points() []runner.Point {
-	pts := make([]runner.Point, len(s.Cfg.Tiers))
-	for i, t := range s.Cfg.Tiers {
-		pts[i] = runner.Point{Key: t.Name, Label: t.Clause}
-	}
-	return pts
-}
-
-// Run implements runner.Scenario.
-func (s *SLAScenario) Run(p runner.Point, seed int64) (*SLAPoint, error) {
-	return RunSLAPoint(s.Cfg, p.Key, seed)
-}
-
-// RunSLA runs the tier sweep serially.
-func RunSLA(cfg SLAConfig) ([]*SLAPoint, error) {
-	return RunSLAParallel(cfg, runner.Options{})
-}
-
-// RunSLAParallel is RunSLA with worker-pool and replica control.
-func RunSLAParallel(cfg SLAConfig, opts runner.Options) ([]*SLAPoint, error) {
-	opts.Seed = cfg.Seed
-	prs, err := runner.Sweep[*SLAPoint](&SLAScenario{Cfg: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*SLAPoint, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Result
-	}
-	return out, nil
-}
-
-// SLATable renders the sweep as tidy CSV: one row per tier. Counter columns
-// of replica-merged points emit cross-replica means; the severity quantiles
-// read the pooled cross-replica samples.
-func SLATable(points []*SLAPoint) Table {
-	t := Table{Header: []string{
-		"tier", "clause", "queries", "admitted", "rejected", "unsatisfiable",
-		"completed", "qos_ok", "failed", "abandoned",
-		"viol_loss", "viol_delay", "viol_jitter", "viol_throughput",
-		"qoe_rows", "qoe_violations", "qoe_recovered", "qoe_peaks",
-		"qoe_delay_p95_ms", "qoe_delay_p99_ms", "qoe_loss_p95", "qoe_loss_p99",
-	}}
-	for _, p := range points {
-		reps := p.reps()
-		g := p.Guardian
-		t.Rows = append(t.Rows, []string{
-			p.Tier,
-			p.Clause,
-			fmtCount(p.Queries, reps),
-			fmtCount(p.Admitted, reps),
-			fmtCount(p.Rejected, reps),
-			fmtCount(p.Unsatisfiable, reps),
-			fmtCount(p.Completed, reps),
-			fmtCount(p.QoSOK, reps),
-			fmtCount(p.Failed, reps),
-			fmtCount(p.Abandoned, reps),
-			fmtCount(int(g.LossViolations), reps),
-			fmtCount(int(g.DelayViolations), reps),
-			fmtCount(int(g.JitterViolations), reps),
-			fmtCount(int(g.ThroughputViolations), reps),
-			fmtCount(p.QoERows, reps),
-			fmtCount(p.QoEViolations, reps),
-			fmtCount(p.QoERecovered, reps),
-			fmtCount(p.QoEPeaks, reps),
-			fmt.Sprintf("%.3f", p.DelaySeverity.Percentile(95)),
-			fmt.Sprintf("%.3f", p.DelaySeverity.Percentile(99)),
-			fmt.Sprintf("%.4f", p.LossSeverity.Percentile(95)),
-			fmt.Sprintf("%.4f", p.LossSeverity.Percentile(99)),
-		})
-	}
-	return t
-}
-
-// WriteSLACSV writes the sweep as tidy CSV.
-func WriteSLACSV(w io.Writer, points []*SLAPoint) error {
-	return WriteTable(w, SLATable(points))
+// SLA sweeps the configured clause tiers as runner points. Not part of
+// -exp all: its drain runs long past the ramp, like overload's.
+var SLA = &Spec[SLAConfig, *SLAPoint]{
+	name: "sla",
+	config: func(s Settings) (SLAConfig, error) {
+		cfg := DefaultSLAConfig()
+		cfg.Seed = s.Seed
+		return cfg, nil
+	},
+	points: func(cfg SLAConfig) []runner.Point {
+		pts := make([]runner.Point, len(cfg.Tiers))
+		for i, t := range cfg.Tiers {
+			pts[i] = runner.Point{Key: t.Name, Label: t.Clause}
+		}
+		return pts
+	},
+	run: RunSLAPoint,
+	// The CSV flattens the per-metric violation counters the JSON record
+	// nests under guardian; severity quantiles read the pooled cross-replica
+	// samples.
+	columns: []column[*SLAPoint]{
+		label("tier", func(p *SLAPoint) string { return p.Tier }),
+		label("clause", func(p *SLAPoint) string { return p.Clause }),
+		count("queries", func(p *SLAPoint) int { return p.Queries }),
+		count("admitted", func(p *SLAPoint) int { return p.Admitted }),
+		count("rejected", func(p *SLAPoint) int { return p.Rejected }),
+		count("unsatisfiable", func(p *SLAPoint) int { return p.Unsatisfiable }),
+		count("completed", func(p *SLAPoint) int { return p.Completed }),
+		count("qos_ok", func(p *SLAPoint) int { return p.QoSOK }),
+		count("failed", func(p *SLAPoint) int { return p.Failed }),
+		count("abandoned", func(p *SLAPoint) int { return p.Abandoned }),
+		csvOnly(count("viol_loss", func(p *SLAPoint) int { return int(p.Guardian.LossViolations) })),
+		csvOnly(count("viol_delay", func(p *SLAPoint) int { return int(p.Guardian.DelayViolations) })),
+		csvOnly(count("viol_jitter", func(p *SLAPoint) int { return int(p.Guardian.JitterViolations) })),
+		csvOnly(count("viol_throughput", func(p *SLAPoint) int { return int(p.Guardian.ThroughputViolations) })),
+		jsonOnly("guardian", func(p *SLAPoint) any { return p.Guardian }),
+		count("qoe_rows", func(p *SLAPoint) int { return p.QoERows }),
+		count("qoe_violations", func(p *SLAPoint) int { return p.QoEViolations }),
+		count("qoe_recovered", func(p *SLAPoint) int { return p.QoERecovered }),
+		count("qoe_peaks", func(p *SLAPoint) int { return p.QoEPeaks }),
+		num("qoe_delay_p95_ms", "%.3f", func(p *SLAPoint) float64 { return p.DelaySeverity.Percentile(95) }),
+		num("qoe_delay_p99_ms", "%.3f", func(p *SLAPoint) float64 { return p.DelaySeverity.Percentile(99) }),
+		num("qoe_loss_p95", "%.4f", func(p *SLAPoint) float64 { return p.LossSeverity.Percentile(95) }),
+		num("qoe_loss_p99", "%.4f", func(p *SLAPoint) float64 { return p.LossSeverity.Percentile(99) }),
+	},
+	report:  FormatSLA,
+	archive: &archive[SLAConfig, *SLAPoint]{rows: "tiers", head: horizonHead(SLAConfig.Horizon)},
 }
 
 // FormatSLA renders the sweep as a console table.
@@ -414,73 +318,6 @@ func FormatSLA(cfg SLAConfig, points []*SLAPoint) string {
 			p.DelaySeverity.Percentile(99), p.LossSeverity.Percentile(99))
 	}
 	return strings.TrimRight(b.String(), "\n")
-}
-
-// slaBench is the archived benchmark record (BENCH_sla.json).
-type slaBench struct {
-	Experiment string          `json:"experiment"`
-	Seed       int64           `json:"seed"`
-	Replicas   int             `json:"replicas"`
-	HorizonS   float64         `json:"horizon_s"`
-	Tiers      []slaBenchPoint `json:"tiers"`
-}
-
-type slaBenchPoint struct {
-	Tier          string         `json:"tier"`
-	Clause        string         `json:"clause"`
-	Queries       int            `json:"queries"`
-	Admitted      int            `json:"admitted"`
-	Rejected      int            `json:"rejected"`
-	Unsatisfiable int            `json:"unsatisfiable"`
-	Completed     int            `json:"completed"`
-	QoSOK         int            `json:"qos_ok"`
-	Failed        int            `json:"failed"`
-	Abandoned     int            `json:"abandoned"`
-	Guardian      guardian.Stats `json:"guardian"`
-	QoERows       int            `json:"qoe_rows"`
-	QoEViolations int            `json:"qoe_violations"`
-	QoERecovered  int            `json:"qoe_recovered"`
-	QoEPeaks      int            `json:"qoe_peaks"`
-	DelayP95Ms    float64        `json:"qoe_delay_p95_ms"`
-	DelayP99Ms    float64        `json:"qoe_delay_p99_ms"`
-	LossP95       float64        `json:"qoe_loss_p95"`
-	LossP99       float64        `json:"qoe_loss_p99"`
-}
-
-// WriteSLAJSON archives the run as an indented JSON benchmark record.
-func WriteSLAJSON(w io.Writer, cfg SLAConfig, points []*SLAPoint) error {
-	b := slaBench{
-		Experiment: "sla",
-		Seed:       cfg.Seed,
-		HorizonS:   simtime.ToSeconds(cfg.Horizon()),
-	}
-	for _, p := range points {
-		b.Replicas = p.reps()
-		b.Tiers = append(b.Tiers, slaBenchPoint{
-			Tier:          p.Tier,
-			Clause:        p.Clause,
-			Queries:       p.Queries,
-			Admitted:      p.Admitted,
-			Rejected:      p.Rejected,
-			Unsatisfiable: p.Unsatisfiable,
-			Completed:     p.Completed,
-			QoSOK:         p.QoSOK,
-			Failed:        p.Failed,
-			Abandoned:     p.Abandoned,
-			Guardian:      p.Guardian,
-			QoERows:       p.QoERows,
-			QoEViolations: p.QoEViolations,
-			QoERecovered:  p.QoERecovered,
-			QoEPeaks:      p.QoEPeaks,
-			DelayP95Ms:    p.DelaySeverity.Percentile(95),
-			DelayP99Ms:    p.DelaySeverity.Percentile(99),
-			LossP95:       p.LossSeverity.Percentile(95),
-			LossP99:       p.LossSeverity.Percentile(99),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }
 
 // clauseString renders the net terms canonically (empty for the control tier).

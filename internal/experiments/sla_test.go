@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -23,22 +22,8 @@ func detSLACfg() SLAConfig {
 	return cfg
 }
 
-func TestSLACSVDeterministic(t *testing.T) {
-	assertDeterministic(t, "sla", func(t *testing.T, workers int) []byte {
-		points, err := RunSLAParallel(detSLACfg(), runner.Options{Workers: workers, Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteSLACSV(&buf, points); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	})
-}
-
 func TestSLATierSemantics(t *testing.T) {
-	points, err := RunSLA(detSLACfg())
+	points, err := RunSweep(SLA, detSLACfg(), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

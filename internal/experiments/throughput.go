@@ -74,10 +74,10 @@ func DefaultFig7Config() ThroughputConfig {
 // Replicas runs; the accessors and exporters normalize back to per-replica
 // means, so a single-replica series reads exactly as before.
 type Series struct {
-	System SystemKind
-	Name   string // display override (ablation variants); System.String() when empty
-	Bucket simtime.Time
-	Times  []float64 // bucket end times, seconds
+	System SystemKind   `merge:"first"`
+	Name   string       // display override (ablation variants); System.String() when empty
+	Bucket simtime.Time `merge:"first"`
+	Times  []float64    `merge:"first"` // bucket end times, seconds
 
 	Outstanding []float64 // sampled outstanding sessions (Fig 6a / 7a)
 	SucceededPM []float64 // QoS-succeeding completions per minute (Fig 6b)
@@ -91,7 +91,7 @@ type Series struct {
 
 	// Replicas counts the replica runs folded into this series (0 or 1
 	// means a single run).
-	Replicas int
+	Replicas int `merge:"reps"`
 }
 
 // DisplayName is the legend label: the variant name when set, else the
@@ -109,32 +109,6 @@ func (s *Series) Reps() int {
 		return 1
 	}
 	return s.Replicas
-}
-
-// Merge folds another replica's series into s: counters sum, sampled series
-// add element-wise, and Replicas grows, so means recover by dividing by
-// Reps(). Both series must come from the same config (equal bucketing and
-// sample counts); the receiver keeps its Times axis.
-func (s *Series) Merge(o *Series) {
-	if len(o.Outstanding) != len(s.Outstanding) || o.Bucket != s.Bucket {
-		panic(fmt.Sprintf("experiments: merging mismatched series (%d/%v vs %d/%v samples)",
-			len(s.Outstanding), s.Bucket, len(o.Outstanding), o.Bucket))
-	}
-	for i := range s.Outstanding {
-		s.Outstanding[i] += o.Outstanding[i]
-	}
-	for i := range s.SucceededPM {
-		s.SucceededPM[i] += o.SucceededPM[i]
-	}
-	for i := range s.CumRejects {
-		s.CumRejects[i] += o.CumRejects[i]
-	}
-	s.Queries += o.Queries
-	s.Admitted += o.Admitted
-	s.Rejected += o.Rejected
-	s.Completed += o.Completed
-	s.QoSOK += o.QoSOK
-	s.Replicas = s.Reps() + o.Reps()
 }
 
 // SteadyOutstanding averages the outstanding-session samples over the last
@@ -246,25 +220,143 @@ func RunThroughput(sys SystemKind, cfg ThroughputConfig) (*Series, error) {
 	return out, nil
 }
 
-// RunFig6 reproduces Figure 6: the three systems under identical query
-// streams. It is the serial-compatible wrapper over the fig6 scenario.
-func RunFig6(cfg ThroughputConfig) ([]*Series, error) {
-	return RunFig6Parallel(cfg, runner.Options{})
+// ThroughputVariant is one point of a throughput sweep: a delivery system
+// plus the replication ablation toggle.
+type ThroughputVariant struct {
+	Key        string
+	Label      string // display name; Sys.String() when empty
+	Sys        SystemKind
+	SingleCopy bool
 }
 
-// RunFig7 reproduces Figure 7: QuaSAQ under the LRB model vs the
-// randomized plan selector.
-func RunFig7(cfg ThroughputConfig) ([]*Series, error) {
-	return RunFig7Parallel(cfg, runner.Options{})
-}
+// The throughput-family grids sweep RunThroughput over system variants under
+// one workload config. All variants of one replica share the same seed, so
+// cross-system comparisons stay paired exactly as the paper's "identical
+// query streams" protocol demands.
+var (
+	// Fig6 is Figure 6's grid: the three systems of the paper.
+	Fig6 = throughputSpec("fig6", true, fig6Config,
+		titled("Figure 6: throughput of different video database systems (%.0f s)"),
+		ThroughputVariant{Key: "vdbms", Sys: SysVDBMS},
+		ThroughputVariant{Key: "qosapi", Sys: SysQoSAPI},
+		ThroughputVariant{Key: "quasaq", Sys: SysQuaSAQ})
+	// Fig7 is Figure 7's grid: randomized vs LRB plan selection.
+	Fig7 = throughputSpec("fig7", true, fig7Config,
+		titled("Figure 7: QuaSAQ with different cost models (%.0f s)"),
+		ThroughputVariant{Key: "random", Sys: SysQuaSAQRandom},
+		ThroughputVariant{Key: "lrb", Sys: SysQuaSAQ})
+	// Throughput is the full system sweep: every delivery system and cost
+	// model under one workload. Not part of -exp all: it subsumes fig6 and
+	// the cost-model ablations.
+	Throughput = throughputSpec("throughput", false, fig6Config,
+		titled("Throughput: full system sweep (%.0f s)"),
+		ThroughputVariant{Key: "vdbms", Sys: SysVDBMS},
+		ThroughputVariant{Key: "qosapi", Sys: SysQoSAPI},
+		ThroughputVariant{Key: "quasaq", Sys: SysQuaSAQ},
+		ThroughputVariant{Key: "random", Sys: SysQuaSAQRandom},
+		ThroughputVariant{Key: "minsum", Sys: SysQuaSAQMinSum},
+		ThroughputVariant{Key: "static", Sys: SysQuaSAQStatic})
+	// Ablation is the cost-model and replication ablation grid.
+	Ablation = throughputSpec("ablation", true, fig6Config, formatAblation,
+		ThroughputVariant{Key: "lrb", Sys: SysQuaSAQ},
+		ThroughputVariant{Key: "random", Sys: SysQuaSAQRandom},
+		ThroughputVariant{Key: "minsum", Sys: SysQuaSAQMinSum},
+		ThroughputVariant{Key: "static", Sys: SysQuaSAQStatic},
+		ThroughputVariant{Key: "single-copy", Label: "QuaSAQ (single-copy)", Sys: SysQuaSAQ, SingleCopy: true})
+)
 
-// fmtCount renders a replica-merged counter: the exact total for a single
-// run, the cross-replica mean once replicas were folded in.
-func fmtCount(n, reps int) string {
-	if reps <= 1 {
-		return strconv.Itoa(n)
+func throughputSpec(name string, inAll bool, config func(Settings) (ThroughputConfig, error),
+	report func(ThroughputConfig, []*Series) string, variants ...ThroughputVariant) *Spec[ThroughputConfig, *Series] {
+	return &Spec[ThroughputConfig, *Series]{
+		name:   name,
+		inAll:  inAll,
+		config: config,
+		points: func(ThroughputConfig) []runner.Point {
+			pts := make([]runner.Point, len(variants))
+			for i, v := range variants {
+				pts[i] = runner.Point{Key: v.Key, Label: v.Label}
+				if v.Label == "" {
+					pts[i].Label = v.Sys.String()
+				}
+			}
+			return pts
+		},
+		run: func(cfg ThroughputConfig, key string, seed int64) (*Series, error) {
+			for _, v := range variants {
+				if v.Key != key {
+					continue
+				}
+				cfg.Seed = seed
+				cfg.SingleCopy = cfg.SingleCopy || v.SingleCopy
+				out, err := RunThroughput(v.Sys, cfg)
+				if err != nil {
+					return nil, err
+				}
+				if v.Label != "" {
+					out.Name = v.Label
+				}
+				return out, nil
+			}
+			return nil, fmt.Errorf("experiments: unknown throughput variant %q", key)
+		},
+		table:  func(_ ThroughputConfig, series []*Series) Table { return SeriesTable(series) },
+		report: report,
 	}
-	return strconv.FormatFloat(float64(n)/float64(reps), 'f', 1, 64)
+}
+
+func fig6Config(s Settings) (ThroughputConfig, error) {
+	cfg := DefaultFig6Config()
+	cfg.Seed = s.Seed
+	cfg.Horizon = simtime.Seconds(s.Fig6Horizon)
+	return cfg, nil
+}
+
+func fig7Config(s Settings) (ThroughputConfig, error) {
+	cfg := DefaultFig7Config()
+	cfg.Seed = s.Seed
+	cfg.Horizon = simtime.Seconds(s.Fig7Horizon)
+	return cfg, nil
+}
+
+// titled reports a sweep under a title that names its horizon.
+func titled(title string) func(ThroughputConfig, []*Series) string {
+	return func(cfg ThroughputConfig, series []*Series) string {
+		return FormatThroughput(fmt.Sprintf(title, simtime.ToSeconds(cfg.Horizon)), series)
+	}
+}
+
+func formatAblation(_ ThroughputConfig, series []*Series) string {
+	return FormatThroughput("Ablations: cost models + single-copy replication", series) +
+		fmt.Sprintf("\nSingle-copy replication ablation: steady outstanding %.1f (vs %.1f with the full ladder)",
+			series[len(series)-1].SteadyOutstanding(), series[0].SteadyOutstanding())
+}
+
+// SeriesTable renders throughput series as a tidy table: time, system,
+// outstanding, succeeded_per_min, cum_rejects. Replica-merged series emit
+// cross-replica means.
+func SeriesTable(series []*Series) Table {
+	t := Table{Header: []string{"time_s", "system", "outstanding", "succeeded_per_min", "cum_rejects"}}
+	for _, s := range series {
+		reps := float64(s.Reps())
+		for i := range s.Outstanding {
+			sec := float64(i+1) * simtime.ToSeconds(s.Bucket)
+			t.Rows = append(t.Rows, []string{
+				strconv.FormatFloat(sec, 'f', 1, 64),
+				s.DisplayName(),
+				strconv.FormatFloat(s.Outstanding[i]/reps, 'f', 1, 64),
+				strconv.FormatFloat(at(s.SucceededPM, i)/reps, 'f', 2, 64),
+				strconv.FormatFloat(at(s.CumRejects, i)/reps, 'f', 1, 64),
+			})
+		}
+	}
+	return t
+}
+
+func at(xs []float64, i int) float64 {
+	if i < len(xs) {
+		return xs[i]
+	}
+	return 0
 }
 
 // FormatThroughput renders series the way the paper's figures are read:

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"quasaq/internal/runner"
@@ -13,23 +12,6 @@ func detTranscodeCfg() TranscodeConfig {
 	cfg := DefaultTranscodeConfig()
 	cfg.Horizon = simtime.Seconds(40)
 	return cfg
-}
-
-// TestTranscodeCSVDeterministic pins the workers=1 vs workers=8 contract
-// for the farm sweep: the Pareto CSV must be byte-identical regardless of
-// the worker-pool size.
-func TestTranscodeCSVDeterministic(t *testing.T) {
-	assertDeterministic(t, "transcode", func(t *testing.T, workers int) []byte {
-		points, err := RunTranscodeParallel(detTranscodeCfg(), runner.Options{Workers: workers, Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteTranscodeCSV(&buf, points); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	})
 }
 
 // TestTranscodeNeutralMatchesFlat is the experiment-level golden gate: the
@@ -67,7 +49,7 @@ func TestTranscodeNeutralMatchesFlat(t *testing.T) {
 // p99 startup beats the econ fleet's.
 func TestTranscodeSweepShape(t *testing.T) {
 	cfg := detTranscodeCfg()
-	points, err := RunTranscode(cfg)
+	points, err := RunSweep(Transcode, cfg, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"quasaq/internal/core"
@@ -88,12 +86,7 @@ func DefaultTranscodeConfig() TranscodeConfig {
 type TranscodePoint struct {
 	Variant string
 
-	Queries    int
-	Admitted   int
-	Rejected   int
-	Completed  int
-	QoSOK      int
-	Failed     int
+	Tally
 	FarmRouted int // completed sessions whose GOPs came from the farm
 
 	// Startup pools farm-routed sessions' startup delays (first transcoded
@@ -103,63 +96,32 @@ type TranscodePoint struct {
 	Farm transcode.FarmStats
 
 	// Replicas counts merged replica runs (0 or 1 means a single run).
-	Replicas int
+	Replicas int `merge:"reps"`
 }
 
-func (p *TranscodePoint) reps() int {
-	if p.Replicas < 1 {
-		return 1
-	}
-	return p.Replicas
-}
+func (p *TranscodePoint) reps() int { return max(1, p.Replicas) }
 
-// Merge folds another replica's point in: counters sum, startup samples
-// pool, farm counters add.
+// Merge folds another replica's point in field by field, except the farm's
+// per-class rows, which pair by name in p's order with o's extras appended
+// so merges stay deterministic.
 func (p *TranscodePoint) Merge(o *TranscodePoint) {
-	p.Queries += o.Queries
-	p.Admitted += o.Admitted
-	p.Rejected += o.Rejected
-	p.Completed += o.Completed
-	p.QoSOK += o.QoSOK
-	p.Failed += o.Failed
-	p.FarmRouted += o.FarmRouted
-	for _, x := range o.Startup.Values() {
-		p.Startup.Add(x)
-	}
-	p.Farm = addFarmStats(p.Farm, o.Farm)
-	p.Replicas = p.reps() + o.reps()
-}
-
-// addFarmStats sums two farm snapshots; per-class rows pair by name in
-// a's order with b's extras appended, so merges stay deterministic.
-func addFarmStats(a, b transcode.FarmStats) transcode.FarmStats {
-	a.Jobs += b.Jobs
-	a.Completed += b.Completed
-	a.DeadlineMiss += b.DeadlineMiss
-	a.QueueDepth += b.QueueDepth
-	if b.MaxQueueDepth > a.MaxQueueDepth {
-		a.MaxQueueDepth = b.MaxQueueDepth
-	}
-	a.ScaleUps += b.ScaleUps
-	a.ScaleDowns += b.ScaleDowns
-	a.Dollars += b.Dollars
-	merged := append([]transcode.ClassStats(nil), a.PerClass...)
-	for _, cb := range b.PerClass {
+	classes := append([]transcode.ClassStats(nil), p.Farm.PerClass...)
+	for _, cb := range o.Farm.PerClass {
 		found := false
-		for i := range merged {
-			if merged[i].Name == cb.Name {
-				merged[i].Workers += cb.Workers
-				merged[i].BusySeconds += cb.BusySeconds
+		for i := range classes {
+			if classes[i].Name == cb.Name {
+				classes[i].Workers += cb.Workers
+				classes[i].BusySeconds += cb.BusySeconds
 				found = true
 				break
 			}
 		}
 		if !found {
-			merged = append(merged, cb)
+			classes = append(classes, cb)
 		}
 	}
-	a.PerClass = merged
-	return a
+	mergeFields(p, o)
+	p.Farm.PerClass = classes
 }
 
 // variantByKey finds a sweep variant (nil if absent).
@@ -209,37 +171,15 @@ func RunTranscodePoint(cfg TranscodeConfig, key string, seed int64) (*TranscodeP
 		Sites:            cluster.Sites(),
 		MeanInterArrival: simtime.Seconds(1 / cfg.BaseLoad),
 	})
-	gen.Drive(sim, cfg.Horizon, func(r workload.Request) {
-		out.Queries++
-		mgr.ServiceAsync(r.Site, r.Video, r.Req, core.ServiceOptions{
-			OnDone: func(d *core.Delivery) {
-				out.Completed++
-				if d.Session.QoSOK() {
-					out.QoSOK++
-				}
-				if d.Session.FarmRouted() {
-					out.FarmRouted++
-					out.Startup.Add(d.Session.StartupDelayMillis())
-				}
-			},
-			OnFailed: func(_ *core.Delivery, _ error) { out.Failed++ },
-		}, func(_ *core.Delivery, err error) {
-			if err != nil {
-				out.Rejected++
-				return
+	if err := out.serveAll("transcode", sim, mgr, gen, cfg.Horizon, serveHooks{
+		done: func(d *core.Delivery) {
+			if d.Session.FarmRouted() {
+				out.FarmRouted++
+				out.Startup.Add(d.Session.StartupDelayMillis())
 			}
-			out.Admitted++
-		})
-	})
-	// Drain completely: arrivals, farm jobs, autoscaler ticks, and streams
-	// are all finite, so the event queue empties.
-	sim.Run()
-
-	if got := out.Admitted + out.Rejected; got != out.Queries {
-		return nil, fmt.Errorf("experiments: %d of %d transcode admissions never settled", out.Queries-got, out.Queries)
-	}
-	if got := out.Completed + out.Failed; got != out.Admitted {
-		return nil, fmt.Errorf("experiments: %d of %d transcode sessions never concluded", out.Admitted-got, out.Admitted)
+		},
+	}); err != nil {
+		return nil, err
 	}
 	if f := mgr.Farm(); f != nil {
 		out.Farm = f.Stats()
@@ -250,171 +190,65 @@ func RunTranscodePoint(cfg TranscodeConfig, key string, seed int64) (*TranscodeP
 	return out, nil
 }
 
-// TranscodeScenario sweeps the variants as independent hermetic cells.
-type TranscodeScenario struct {
-	Cfg TranscodeConfig
-}
-
-// Name implements runner.Scenario.
-func (s *TranscodeScenario) Name() string { return "transcode" }
-
-// Points implements runner.Scenario.
-func (s *TranscodeScenario) Points() []runner.Point {
-	pts := make([]runner.Point, len(s.Cfg.Variants))
-	for i, v := range s.Cfg.Variants {
-		pts[i] = runner.Point{Key: v.Key, Label: v.Label}
-	}
-	return pts
-}
-
-// Run implements runner.Scenario.
-func (s *TranscodeScenario) Run(p runner.Point, seed int64) (*TranscodePoint, error) {
-	return RunTranscodePoint(s.Cfg, p.Key, seed)
-}
-
-// RunTranscode runs the sweep serially.
-func RunTranscode(cfg TranscodeConfig) ([]*TranscodePoint, error) {
-	return RunTranscodeParallel(cfg, runner.Options{})
-}
-
-// RunTranscodeParallel is RunTranscode with worker-pool and replica
-// control.
-func RunTranscodeParallel(cfg TranscodeConfig, opts runner.Options) ([]*TranscodePoint, error) {
-	opts.Seed = cfg.Seed
-	prs, err := runner.Sweep[*TranscodePoint](&TranscodeScenario{Cfg: cfg}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*TranscodePoint, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Result
-	}
-	return out, nil
-}
-
-// TranscodeTable renders the sweep as tidy CSV: one row per variant.
-// Counter columns of replica-merged points emit cross-replica means; the
-// startup quantiles read the pooled cross-replica sample.
-func TranscodeTable(points []*TranscodePoint) Table {
-	t := Table{Header: []string{
-		"variant", "queries", "admitted", "rejected", "completed", "qos_ok", "failed",
-		"farm_routed", "jobs", "misses", "miss_rate", "max_queue",
-		"scale_ups", "scale_downs", "dollars",
-		"startup_p50_ms", "startup_p95_ms", "startup_p99_ms",
-	}}
-	for _, p := range points {
-		reps := p.reps()
-		f := p.Farm
-		t.Rows = append(t.Rows, []string{
-			p.Variant,
-			fmtCount(p.Queries, reps),
-			fmtCount(p.Admitted, reps),
-			fmtCount(p.Rejected, reps),
-			fmtCount(p.Completed, reps),
-			fmtCount(p.QoSOK, reps),
-			fmtCount(p.Failed, reps),
-			fmtCount(p.FarmRouted, reps),
-			fmtCount(int(f.Jobs), reps),
-			fmtCount(int(f.DeadlineMiss), reps),
-			fmt.Sprintf("%.4f", f.MissRate()),
-			fmt.Sprintf("%d", f.MaxQueueDepth),
-			fmtCount(int(f.ScaleUps), reps),
-			fmtCount(int(f.ScaleDowns), reps),
-			fmt.Sprintf("%.4f", f.Dollars/float64(reps)),
-			fmt.Sprintf("%.3f", p.Startup.Percentile(50)),
-			fmt.Sprintf("%.3f", p.Startup.Percentile(95)),
-			fmt.Sprintf("%.3f", p.Startup.Percentile(99)),
-		})
-	}
-	return t
-}
-
-// WriteTranscodeCSV writes the sweep as tidy CSV.
-func WriteTranscodeCSV(w io.Writer, points []*TranscodePoint) error {
-	return WriteTable(w, TranscodeTable(points))
-}
-
-// transcodeBench is the archived benchmark record (BENCH_transcode.json).
-type transcodeBench struct {
-	Experiment string                `json:"experiment"`
-	Seed       int64                 `json:"seed"`
-	Replicas   int                   `json:"replicas"`
-	HorizonS   float64               `json:"horizon_s"`
-	Variants   []transcodeBenchPoint `json:"variants"`
-	// Pareto is the cost/latency frontier sweep: one (dollars, p99
-	// startup, miss rate) sample per variant, in sweep order.
-	Pareto []transcodeParetoPoint `json:"pareto"`
-}
-
-type transcodeBenchPoint struct {
-	Variant      string  `json:"variant"`
-	Queries      int     `json:"queries"`
-	Admitted     int     `json:"admitted"`
-	Rejected     int     `json:"rejected"`
-	Completed    int     `json:"completed"`
-	QoSOK        int     `json:"qos_ok"`
-	Failed       int     `json:"failed"`
-	FarmRouted   int     `json:"farm_routed"`
-	Jobs         uint64  `json:"jobs"`
-	DeadlineMiss uint64  `json:"deadline_miss"`
-	MissRate     float64 `json:"miss_rate"`
-	MaxQueue     int     `json:"max_queue"`
-	ScaleUps     uint64  `json:"scale_ups"`
-	ScaleDowns   uint64  `json:"scale_downs"`
-	Dollars      float64 `json:"dollars"`
-	StartupP50Ms float64 `json:"startup_p50_ms"`
-	StartupP95Ms float64 `json:"startup_p95_ms"`
-	StartupP99Ms float64 `json:"startup_p99_ms"`
-}
-
-type transcodeParetoPoint struct {
-	Variant      string  `json:"variant"`
-	Dollars      float64 `json:"dollars"`
-	StartupP99Ms float64 `json:"startup_p99_ms"`
-	MissRate     float64 `json:"miss_rate"`
-}
-
-// WriteTranscodeJSON archives the sweep as an indented JSON benchmark
-// record.
-func WriteTranscodeJSON(w io.Writer, cfg TranscodeConfig, points []*TranscodePoint) error {
-	b := transcodeBench{
-		Experiment: "transcode",
-		Seed:       cfg.Seed,
-		HorizonS:   simtime.ToSeconds(cfg.Horizon),
-	}
-	for _, p := range points {
-		b.Replicas = p.reps()
-		f := p.Farm
-		b.Variants = append(b.Variants, transcodeBenchPoint{
-			Variant:      p.Variant,
-			Queries:      p.Queries,
-			Admitted:     p.Admitted,
-			Rejected:     p.Rejected,
-			Completed:    p.Completed,
-			QoSOK:        p.QoSOK,
-			Failed:       p.Failed,
-			FarmRouted:   p.FarmRouted,
-			Jobs:         f.Jobs,
-			DeadlineMiss: f.DeadlineMiss,
-			MissRate:     f.MissRate(),
-			MaxQueue:     f.MaxQueueDepth,
-			ScaleUps:     f.ScaleUps,
-			ScaleDowns:   f.ScaleDowns,
-			Dollars:      f.Dollars / float64(p.reps()),
-			StartupP50Ms: p.Startup.Percentile(50),
-			StartupP95Ms: p.Startup.Percentile(95),
-			StartupP99Ms: p.Startup.Percentile(99),
-		})
-		b.Pareto = append(b.Pareto, transcodeParetoPoint{
-			Variant:      p.Variant,
-			Dollars:      f.Dollars / float64(p.reps()),
-			StartupP99Ms: p.Startup.Percentile(99),
-			MissRate:     f.MissRate(),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
+// Transcode sweeps the farm variants as independent hermetic cells. Not
+// part of -exp all: its single-copy corpus skews the other figures'
+// protocol.
+var Transcode = &Spec[TranscodeConfig, *TranscodePoint]{
+	name: "transcode",
+	config: func(s Settings) (TranscodeConfig, error) {
+		cfg := DefaultTranscodeConfig()
+		cfg.Seed = s.Seed
+		return cfg, nil
+	},
+	points: func(cfg TranscodeConfig) []runner.Point {
+		pts := make([]runner.Point, len(cfg.Variants))
+		for i, v := range cfg.Variants {
+			pts[i] = runner.Point{Key: v.Key, Label: v.Label}
+		}
+		return pts
+	},
+	run: RunTranscodePoint,
+	// Startup quantiles read the pooled cross-replica sample.
+	columns: []column[*TranscodePoint]{
+		label("variant", func(p *TranscodePoint) string { return p.Variant }),
+		count("queries", func(p *TranscodePoint) int { return p.Queries }),
+		count("admitted", func(p *TranscodePoint) int { return p.Admitted }),
+		count("rejected", func(p *TranscodePoint) int { return p.Rejected }),
+		count("completed", func(p *TranscodePoint) int { return p.Completed }),
+		count("qos_ok", func(p *TranscodePoint) int { return p.QoSOK }),
+		count("failed", func(p *TranscodePoint) int { return p.Failed }),
+		count("farm_routed", func(p *TranscodePoint) int { return p.FarmRouted }),
+		count("jobs", func(p *TranscodePoint) int { return int(p.Farm.Jobs) }),
+		csvOnly(count("misses", func(p *TranscodePoint) int { return int(p.Farm.DeadlineMiss) })),
+		jsonOnly("deadline_miss", func(p *TranscodePoint) any { return p.Farm.DeadlineMiss }),
+		num("miss_rate", "%.4f", func(p *TranscodePoint) float64 { return p.Farm.MissRate() }),
+		exact("max_queue", func(p *TranscodePoint) int { return p.Farm.MaxQueueDepth }),
+		count("scale_ups", func(p *TranscodePoint) int { return int(p.Farm.ScaleUps) }),
+		count("scale_downs", func(p *TranscodePoint) int { return int(p.Farm.ScaleDowns) }),
+		mean("dollars", "%.4f", func(p *TranscodePoint) float64 { return p.Farm.Dollars }),
+		num("startup_p50_ms", "%.3f", func(p *TranscodePoint) float64 { return p.Startup.Percentile(50) }),
+		num("startup_p95_ms", "%.3f", func(p *TranscodePoint) float64 { return p.Startup.Percentile(95) }),
+		num("startup_p99_ms", "%.3f", func(p *TranscodePoint) float64 { return p.Startup.Percentile(99) }),
+	},
+	report: FormatTranscode,
+	archive: &archive[TranscodeConfig, *TranscodePoint]{
+		rows: "variants",
+		head: horizonHead(func(c TranscodeConfig) simtime.Time { return c.Horizon }),
+		// The cost/latency frontier: one (dollars, p99 startup, miss rate)
+		// sample per variant, in sweep order.
+		tail: func(_ TranscodeConfig, points []*TranscodePoint) object {
+			pareto := make([]object, len(points))
+			for i, p := range points {
+				pareto[i] = object{
+					{"variant", p.Variant},
+					{"dollars", p.Farm.Dollars / float64(p.reps())},
+					{"startup_p99_ms", p.Startup.Percentile(99)},
+					{"miss_rate", p.Farm.MissRate()},
+				}
+			}
+			return object{{"pareto", pareto}}
+		},
+	},
 }
 
 // FormatTranscode renders the sweep the way an operator reads a Pareto

@@ -105,6 +105,13 @@ func (s *Sample) Add(x float64) {
 	s.sorted = nil
 }
 
+// Merge pools another sample's observations into s, after its own
+// (replica aggregation: percentiles then read the pooled distribution).
+func (s *Sample) Merge(o *Sample) {
+	s.xs = append(s.xs, o.xs...)
+	s.sorted = nil
+}
+
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 

@@ -548,17 +548,18 @@ type ClassStats struct {
 	BusySeconds float64
 }
 
-// FarmStats is the farm's cumulative snapshot.
+// FarmStats is the farm's cumulative snapshot. The merge tags tell replica
+// aggregation which fields do not simply sum.
 type FarmStats struct {
 	Jobs          uint64
 	Completed     uint64
 	DeadlineMiss  uint64
 	QueueDepth    int
-	MaxQueueDepth int
+	MaxQueueDepth int `merge:"max"`
 	ScaleUps      uint64
 	ScaleDowns    uint64
 	Dollars       float64
-	PerClass      []ClassStats
+	PerClass      []ClassStats `merge:"first"` // rows pair by class name, merged by the owner
 }
 
 // MissRate is deadline misses over completed jobs (0 when nothing ran).
