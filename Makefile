@@ -53,10 +53,11 @@ race-transcode:
 	$(GO) test -race . ./internal/transcode/... ./internal/transport/... ./internal/core/...
 
 # Focused race gate for the lock-free accounting stack: the VSA
-# accumulator/committer, the node books they reconcile into, and the
-# admission hot path that parks holds on them.
+# accumulator/committer and the gara node books they reconcile into. Core
+# does not import vsa; it is raced by race, race-broker, race-transcode
+# and race-edge.
 race-vsa:
-	$(GO) test -race ./internal/vsa/... ./internal/gara/... ./internal/core/...
+	$(GO) test -race ./internal/vsa/... ./internal/gara/...
 
 # Focused race gate for the edge proxy-cache tier: per-site prefix stores
 # under concurrent Observe/Tick, split-plan admission in core, and the

@@ -26,7 +26,9 @@ func main() {
 
 	pol := quasaq.DefaultFailoverPolicy()
 	pol.BestEffortFallback = true
-	db.EnableFailover(pol)
+	if err := db.EnableFailover(pol); err != nil {
+		log.Fatal(err)
+	}
 	db.OnFailover(func(ev quasaq.FailoverEvent) {
 		switch {
 		case ev.Err != nil:

@@ -27,7 +27,9 @@ func main() {
 		log.Fatal(err)
 	}
 	db.EnableTracing()
-	db.EnableFailover(quasaq.DefaultFailoverPolicy())
+	if err := db.EnableFailover(quasaq.DefaultFailoverPolicy()); err != nil {
+		log.Fatal(err)
+	}
 
 	prof := quasaq.DefaultProfile("viewer")
 	req := prof.Translate(quasaq.QoP{

@@ -103,3 +103,44 @@ func TestPublicFaultScheduleAndLinkFaults(t *testing.T) {
 		t.Fatal("unknown site accepted")
 	}
 }
+
+// A failover policy with a negative field is bad input from a library
+// caller: EnableFailover refuses it with an error instead of panicking, and
+// failover stays off — a crash then abandons the delivery.
+func TestEnableFailoverRejectsNegativePolicy(t *testing.T) {
+	db, err := quasaq.Open(quasaq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddVideos(quasaq.StandardCorpus(7)); err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*quasaq.FailoverPolicy){
+		"DetectionDelay": func(p *quasaq.FailoverPolicy) { p.DetectionDelay = -1 },
+		"RetryBackoff":   func(p *quasaq.FailoverPolicy) { p.RetryBackoff = -1 },
+		"MaxRetries":     func(p *quasaq.FailoverPolicy) { p.MaxRetries = -1 },
+	} {
+		pol := quasaq.DefaultFailoverPolicy()
+		mutate(&pol)
+		if err := db.EnableFailover(pol); err == nil {
+			t.Errorf("negative %s accepted", name)
+		}
+	}
+
+	req := quasaq.Requirement{MinResolution: quasaq.ResVCD, MinFrameRate: 20, MinColorDepth: 8}
+	d, err := db.Deliver("srv-b", 1, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Advance(5 * time.Second)
+	if err := db.CrashSite(d.Plan.DeliverySite); err != nil {
+		t.Fatal(err)
+	}
+	db.Advance(30 * time.Second)
+	if !d.Failed() || d.Failovers() != 0 {
+		t.Fatalf("failed=%v failovers=%d: a refused policy must leave failover off", d.Failed(), d.Failovers())
+	}
+	if err := db.EnableFailover(quasaq.DefaultFailoverPolicy()); err != nil {
+		t.Fatalf("valid policy refused: %v", err)
+	}
+}

@@ -8,11 +8,9 @@ import (
 	"quasaq/internal/gara"
 	"quasaq/internal/media"
 	"quasaq/internal/netsim"
-	"quasaq/internal/obs"
 	"quasaq/internal/qos"
 	"quasaq/internal/simtime"
 	"quasaq/internal/transport"
-	"quasaq/internal/vsa"
 )
 
 // ServiceOptions tunes one Service call.
@@ -168,7 +166,7 @@ func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requi
 	dopts := opts
 	dopts.AvoidSites = nil
 	d := &Delivery{mgr: m, video: v, req: req, querySite: querySite, opts: dopts, trace: scope}
-	m.tryPlans(d, next, opts, scope, nil, func(p *Plan, lastErr error) {
+	m.tryPlans(d, next, nil, func(p *Plan, lastErr error) {
 		if p != nil {
 			m.met.admitted.Inc()
 			scope.Instant("admit", map[string]any{"site": p.DeliverySite})
@@ -191,17 +189,17 @@ func (m *Manager) serviceAdmit(querySite string, id media.VideoID, req qos.Requi
 // tryPlans walks the costed plan iterator, attempting a two-phase
 // reservation per plan, and continues with the admitted plan or (nil,
 // lastErr) when the iterator is exhausted.
-func (m *Manager) tryPlans(d *Delivery, next func() (*Plan, bool), opts ServiceOptions, scope *obs.Scope, lastErr error, done func(*Plan, error)) {
+func (m *Manager) tryPlans(d *Delivery, next func() (*Plan, bool), lastErr error, done func(*Plan, error)) {
 	p, ok := next()
 	if !ok {
 		done(nil, lastErr)
 		return
 	}
 	m.met.plansTried.Inc()
-	rsv := scope.Span("reserve", map[string]any{
+	rsv := d.trace.Span("reserve", map[string]any{
 		"site": p.DeliverySite, "replica": p.Replica.Site,
 	})
-	m.executeInto(d, p, opts, func(err error) {
+	m.executeInto(d, p, d.opts.StartFrame, func(err error) {
 		if err == nil {
 			rsv.SetArg("outcome", "granted")
 			rsv.End()
@@ -210,7 +208,7 @@ func (m *Manager) tryPlans(d *Delivery, next func() (*Plan, bool), opts ServiceO
 		}
 		rsv.SetArg("outcome", err.Error())
 		rsv.End()
-		m.tryPlans(d, next, opts, scope, err, done)
+		m.tryPlans(d, next, err, done)
 	})
 }
 
@@ -311,46 +309,20 @@ func sliceIter(plans []*Plan) func() (*Plan, bool) {
 
 // executeInto runs one plan's two-phase reservation through the control
 // plane — one PREPARE/COMMIT participant per reservation stage of the
-// plan's DAG (delivery site, source relay, farm transcode), all-or-nothing
-// and TTL-reclaimed — and on success binds the streaming session to d. It
-// is the shared tail of admission and failover: on failover the same
-// Delivery gets a new Plan/Session in place. done receives nil on success
-// or the first refusal/timeout after the coordinator rolled the
-// transaction back.
-func (m *Manager) executeInto(d *Delivery, p *Plan, opts ServiceOptions, done func(error)) {
-	v := d.video
+// plan's DAG (delivery site, split tail, source relay, farm transcode),
+// all-or-nothing and TTL-reclaimed — and on success binds the streaming
+// session to d, starting at frame from. It is the shared tail of admission
+// and failover: on failover the same Delivery gets a new Plan/Session in
+// place. done receives nil on success or the first refusal/timeout after
+// the coordinator rolled the transaction back.
+func (m *Manager) executeInto(d *Delivery, p *Plan, from int, done func(error)) {
 	period := simtime.Seconds(1 / p.Delivered.FrameRate)
 	stages := p.ReservationStages()
 	parts := make([]broker.Participant, len(stages))
 	for i, st := range stages {
-		parts[i] = broker.Participant{Site: st.Site, Name: v.Title + st.Suffix, Vec: st.Vec, Period: period}
-	}
-	// With fast accounting on, park an in-flight hold per participant so
-	// concurrent usage reads see this decision before the brokers commit
-	// it. The holds drop the moment the transaction concludes: on success
-	// the committed leases carry the load in the node snapshot, on failure
-	// nothing does. Holds never influence the decision itself — the broker
-	// stays the authority — so a synchronous control plane (where the
-	// transaction concludes before any other read can run) behaves
-	// byte-identically with the fast path on or off.
-	type siteHold struct {
-		acc  *vsa.Accumulator
-		hold vsa.Hold
-	}
-	var holds []siteHold
-	if m.cluster.FastAccountingEnabled() {
-		hint := m.holdSeq.Add(1)
-		holds = make([]siteHold, 0, len(parts))
-		for _, p := range parts {
-			if a := m.cluster.Accumulator(p.Site); a != nil {
-				holds = append(holds, siteHold{acc: a, hold: a.Add(hint, p.Vec)})
-			}
-		}
+		parts[i] = broker.Participant{Site: st.Site, Name: d.video.Title + st.Suffix, Vec: st.Vec, Period: period}
 	}
 	m.coord.Reserve(d.querySite, parts, d.trace, func(leases []*gara.Lease, err error) {
-		for _, h := range holds {
-			h.acc.Release(0, h.hold)
-		}
 		if err != nil {
 			done(err)
 			return
@@ -362,58 +334,103 @@ func (m *Manager) executeInto(d *Delivery, p *Plan, opts ServiceOptions, done fu
 			done(errReservationAbandoned)
 			return
 		}
-		done(m.bind(d, p, leases, opts))
+		done(m.bind(d, p, leases, from))
 	})
 }
 
-// bind starts the streaming session on the committed leases and wires the
-// failure-detection callbacks — the local tail of a successful two-phase
-// reservation. Leases arrive in reservation-stage order; the delivery
-// lease feeds the session, the source and farm leases are held by the
-// delivery and released with it.
-func (m *Manager) bind(d *Delivery, p *Plan, leases []*gara.Lease, opts ServiceOptions) error {
-	v := d.video
-	release := func() {
-		for _, l := range leases {
-			l.Release()
+// tailSlot is a split plan's tail leg in the lease table: reservationOrder
+// reserves it right after the delivery stage.
+const tailSlot = 1
+
+// bind adopts the committed leases as the delivery's lease table, starts
+// the first streaming leg at frame from, and wires failure detection — the
+// local tail of a successful two-phase reservation. A split plan's first
+// leg is the edge prefix, handing over to the tail at the split frame; a
+// resume already past the boundary returns the edge lease and starts
+// directly on the tail.
+func (m *Manager) bind(d *Delivery, p *Plan, leases []*gara.Lease, from int) error {
+	d.Plan = p
+	d.leases = leases
+	slot, site, end, onDone := 0, p.DeliverySite, 0, m.teardown(d)
+	if p.Split() {
+		if len(leases) <= tailSlot {
+			d.releaseStageLeases()
+			return fmt.Errorf("core: split plan for %s committed without a tail lease", d.video.ID)
+		}
+		if from < p.SplitFrame {
+			end = p.SplitFrame
+			onDone = func(*transport.Session) { m.handover(d) }
+		} else {
+			leases[0].Release()
+			leases[0] = nil
+			slot, site = tailSlot, p.TailReplica.Site
 		}
 	}
-	deliveryNode, err := m.cluster.Node(p.DeliverySite)
-	if err != nil {
-		release()
+	if err := m.startLeg(d, site, slot, from, end, onDone); err != nil {
+		d.releaseStageLeases()
 		return err
 	}
-	lease := leases[0]
-	var sourceLease, farmLease, tailLease *gara.Lease
-	for i, st := range p.ReservationStages() {
-		if i == 0 || i >= len(leases) {
-			continue
-		}
-		switch st.Kind {
-		case StageTailDeliver:
-			tailLease = leases[i]
-		case StageSource:
-			sourceLease = leases[i]
-		case StageTranscode:
-			farmLease = leases[i]
-		}
+	// The live leg's own lease revocation fails its session (wired inside
+	// StartReserved); a relay, farm, or parked tail lease's revocation
+	// fails it too.
+	m.watchStageLeases(d)
+	if p.Split() {
+		m.met.splitAdmissions.Inc()
 	}
-	d.Plan = p
-	d.sourceLease = sourceLease
-	d.farmLease = farmLease
-	d.tailLease = tailLease
-	d.handedOver = false
+	m.cluster.sessionStarted()
+	d.streamSpan = d.trace.Span("stream", map[string]any{
+		"site":  site,
+		"video": d.video.Title,
+		"fps":   p.Delivered.FrameRate,
+	})
+	if p.Remote() {
+		d.streamSpan.SetArg("source", p.Replica.Site)
+	}
+	return nil
+}
+
+// startLeg streams one leg of the delivery's plan from site on the lease in
+// table slot, over frames [from, end) (end 0 streams to the video's end).
+// The lease passes to the session, whose failure lands in the manager's
+// recovery path and whose completion runs onDone.
+func (m *Manager) startLeg(d *Delivery, site string, slot, from, end int, onDone func(*transport.Session)) error {
+	node, err := m.cluster.Node(site)
+	if err != nil {
+		return err
+	}
+	cfg := m.legConfig(d, d.Plan, d.Plan.DeliveredVariant, from, end)
+	sess, err := transport.StartReserved(m.cluster.Sim, node, cfg, d.leases[slot], onDone)
+	if err != nil {
+		return err
+	}
+	d.leases[slot] = nil
+	d.legSite = site
+	sess.SetOnFail(func(_ *transport.Session, cause error) { m.onSessionFail(d, cause) })
+	d.Session = sess
+	return nil
+}
+
+// legConfig is the transport config of every streaming leg of d: variant
+// from frame from up to end, under the delivery's trace and client-path
+// options. A reserved leg carries its plan's drop strategy and per-frame
+// CPU pricing; the unreserved best-effort leg passes a nil plan and
+// streams undropped.
+func (m *Manager) legConfig(d *Delivery, p *Plan, variant media.Variant, from, end int) transport.Config {
 	cfg := transport.Config{
-		Video:            v,
-		Variant:          p.DeliveredVariant,
-		Drop:             p.Drop,
-		ExtraPerFrameCPU: p.ExtraPerFrameCPU,
-		TraceFrames:      opts.TraceFrames,
-		Path:             opts.Path,
-		PathSeed:         opts.PathSeed,
-		StartFrame:       opts.StartFrame,
-		Trace:            d.trace,
+		Video:       d.video,
+		Variant:     variant,
+		TraceFrames: d.opts.TraceFrames,
+		Path:        d.opts.Path,
+		PathSeed:    d.opts.PathSeed,
+		StartFrame:  from,
+		EndFrame:    end,
+		Trace:       d.trace,
 	}
+	if p == nil {
+		return cfg
+	}
+	cfg.Drop = p.Drop
+	cfg.ExtraPerFrameCPU = p.ExtraPerFrameCPU
 	// Staged GOP supply: when a farm is enabled, transcoding plans stream
 	// GOPs through it — offloaded plans because the conversion genuinely
 	// runs there, and inline plans under a *neutral* farm because routing
@@ -426,59 +443,7 @@ func (m *Manager) bind(d *Delivery, p *Plan, leases []*gara.Lease, opts ServiceO
 			cfg.FarmWork = st.Work
 		}
 	}
-	// Split plans deliver in two legs: the edge prefix streams first and
-	// hands the viewer over to the tail site's full replica at the split
-	// frame. A resume already past the boundary skips the prefix leg and
-	// starts directly on the tail lease, returning the edge one.
-	sessNode, sessLease, streamSite := deliveryNode, lease, p.DeliverySite
-	onDone := m.teardown(d)
-	if p.Split() {
-		if tailLease == nil {
-			release()
-			return fmt.Errorf("core: split plan for %s committed without a tail lease", v.ID)
-		}
-		if opts.StartFrame < p.SplitFrame {
-			cfg.EndFrame = p.SplitFrame
-			onDone = func(*transport.Session) { m.handover(d, opts) }
-		} else {
-			tn, terr := m.cluster.Node(p.TailReplica.Site)
-			if terr != nil {
-				release()
-				return terr
-			}
-			sessNode, sessLease, streamSite = tn, tailLease, p.TailReplica.Site
-			d.tailLease = nil
-			d.handedOver = true
-			lease.Release()
-		}
-	}
-	sess, err := transport.StartReserved(m.cluster.Sim, sessNode, cfg, sessLease, onDone)
-	if err != nil {
-		release()
-		return err
-	}
-	// Failure detection: the delivery lease's revocation fails the session
-	// (wired inside StartReserved); the session's failure, and a relay,
-	// farm, or parked tail lease's revocation, all land in the manager's
-	// recovery path.
-	sess.SetOnFail(func(_ *transport.Session, cause error) { m.onSessionFail(d, cause) })
-	for _, slot := range d.stageLeases() {
-		m.watchStageLease(d, slot)
-	}
-	if p.Split() {
-		m.met.splitAdmissions.Inc()
-	}
-	m.cluster.sessionStarted()
-	d.Session = sess
-	d.streamSpan = d.trace.Span("stream", map[string]any{
-		"site":  streamSite,
-		"video": v.Title,
-		"fps":   p.Delivered.FrameRate,
-	})
-	if p.Remote() {
-		d.streamSpan.SetArg("source", p.Replica.Site)
-	}
-	return nil
+	return cfg
 }
 
 // teardown returns the completion callback ending a delivery: it fires when
@@ -486,8 +451,8 @@ func (m *Manager) bind(d *Delivery, p *Plan, leases []*gara.Lease, opts ServiceO
 func (m *Manager) teardown(d *Delivery) func(*transport.Session) {
 	return func(s *transport.Session) {
 		// A resume at the video's end finishes synchronously inside
-		// StartReserved, before bind assigns d.Session — publish the
-		// session first so OnDone never sees a nil one.
+		// the session start, before the leg publishes d.Session — publish
+		// it here first so OnDone never sees a nil one.
 		if d.Session == nil {
 			d.Session = s
 		}
@@ -508,52 +473,29 @@ func (m *Manager) teardown(d *Delivery) func(*transport.Session) {
 // continues — no extra sessionStarted/Ended pair. A handover that cannot
 // start is a mid-stream failure at the boundary and takes the normal
 // recovery path.
-func (m *Manager) handover(d *Delivery, opts ServiceOptions) {
+func (m *Manager) handover(d *Delivery) {
 	p := d.Plan
-	tl := d.tailLease
-	if tl == nil {
+	if d.leases[tailSlot] == nil {
 		// The tail lease was revoked while the prefix streamed; its revocation
 		// already failed the session and recovery owns the delivery.
 		return
 	}
-	node, err := m.cluster.Node(p.TailReplica.Site)
-	if err == nil {
-		cfg := transport.Config{
-			Video:            d.video,
-			Variant:          p.DeliveredVariant,
-			Drop:             p.Drop,
-			ExtraPerFrameCPU: p.ExtraPerFrameCPU,
-			TraceFrames:      opts.TraceFrames,
-			Path:             opts.Path,
-			PathSeed:         opts.PathSeed,
-			StartFrame:       p.SplitFrame,
-			Trace:            d.trace,
-		}
-		var sess *transport.Session
-		sess, err = transport.StartReserved(m.cluster.Sim, node, cfg, tl, m.teardown(d))
-		if err == nil {
-			d.tailLease = nil // owned by the tail session now
-			d.handedOver = true
-			m.met.handovers.Inc()
-			sess.SetOnFail(func(_ *transport.Session, cause error) { m.onSessionFail(d, cause) })
-			d.Session = sess
-			d.streamSpan.SetArg("outcome", "handover")
-			d.streamSpan.End()
-			d.trace.Instant("handover", map[string]any{
-				"to": p.TailReplica.Site, "frame": p.SplitFrame,
-			})
-			d.streamSpan = d.trace.Span("stream", map[string]any{
-				"site":  p.TailReplica.Site,
-				"video": d.video.Title,
-				"fps":   p.Delivered.FrameRate,
-				"leg":   "tail",
-			})
-			return
-		}
+	if err := m.startLeg(d, p.TailReplica.Site, tailSlot, p.SplitFrame, 0, m.teardown(d)); err != nil {
+		m.onSessionFail(d, err)
+		return
 	}
-	d.tailLease = nil
-	tl.Release()
-	m.onSessionFail(d, err)
+	m.met.handovers.Inc()
+	d.streamSpan.SetArg("outcome", "handover")
+	d.streamSpan.End()
+	d.trace.Instant("handover", map[string]any{
+		"to": p.TailReplica.Site, "frame": p.SplitFrame,
+	})
+	d.streamSpan = d.trace.Span("stream", map[string]any{
+		"site":  p.TailReplica.Site,
+		"video": d.video.Title,
+		"fps":   p.Delivered.FrameRate,
+		"leg":   "tail",
+	})
 }
 
 // Renegotiate services the delivery's video again under a new requirement,

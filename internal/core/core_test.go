@@ -188,6 +188,7 @@ func TestLRBFig3Example(t *testing.T) {
 			Replica:        &metadata.Replica{Site: "s1"},
 			DeliverySite:   "s1",
 			DeliveryDemand: d,
+			Stages:         []Stage{{Kind: StageDeliver, Site: "s1", Vec: d}},
 		}
 	}
 	plan1 := mk(qos.ResourceVector{0.40, 10, 10, 10}) // max bucket: cpu 0.70

@@ -133,11 +133,11 @@ func TestSplitDeliveryHandover(t *testing.T) {
 	d := &Delivery{mgr: m, video: v, req: req, querySite: "srv-a",
 		opts: ServiceOptions{OnDone: func(*Delivery) { done++ }}}
 	var rerr error
-	m.executeInto(d, sp, d.opts, func(err error) { rerr = err })
+	m.executeInto(d, sp, 0, func(err error) { rerr = err })
 	if rerr != nil {
 		t.Fatalf("split reservation failed: %v", rerr)
 	}
-	if d.tailLease == nil {
+	if d.leases[tailSlot] == nil {
 		t.Fatal("tail lease not parked on the delivery")
 	}
 	sim.Run()
@@ -148,7 +148,7 @@ func TestSplitDeliveryHandover(t *testing.T) {
 	if ms.SplitAdmissions != 1 || ms.Handovers != 1 {
 		t.Fatalf("split counters = admissions %d handovers %d, want 1/1", ms.SplitAdmissions, ms.Handovers)
 	}
-	if !d.handedOver || d.tailLease != nil {
+	if d.legSite != sp.TailReplica.Site || d.leases[tailSlot] != nil {
 		t.Fatal("handover left the delivery in a bad state")
 	}
 	if !d.Session.Done() || d.Session.Position() != v.Frames() {
@@ -191,7 +191,7 @@ func TestSplitResumePastBoundary(t *testing.T) {
 	opts := ServiceOptions{StartFrame: sp.SplitFrame}
 	d := &Delivery{mgr: m, video: v, req: req, querySite: "srv-a", opts: opts}
 	var rerr error
-	m.executeInto(d, sp, opts, func(err error) { rerr = err })
+	m.executeInto(d, sp, opts.StartFrame, func(err error) { rerr = err })
 	if rerr != nil {
 		t.Fatalf("resume reservation failed: %v", rerr)
 	}
@@ -315,7 +315,7 @@ func TestTailLeaseRevocationFailsDelivery(t *testing.T) {
 	d := &Delivery{mgr: m, video: v, req: req, querySite: "srv-a",
 		opts: ServiceOptions{OnFailed: func(_ *Delivery, err error) { failed = err }}}
 	var rerr error
-	m.executeInto(d, sp, d.opts, func(err error) { rerr = err })
+	m.executeInto(d, sp, 0, func(err error) { rerr = err })
 	if rerr != nil {
 		t.Fatalf("reservation failed: %v", rerr)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"quasaq/internal/gara"
 	"quasaq/internal/media"
 	"quasaq/internal/simtime"
 	"quasaq/internal/transport"
@@ -59,12 +58,14 @@ type FailoverEvent struct {
 // manager re-runs the plan pipeline — reusing the cached candidate set,
 // filtering down sites — reserves a new lease via the composite QoS API,
 // and resumes the stream on an alternate replica from the last delivered
-// position.
-func (m *Manager) EnableFailover(p FailoverPolicy) {
+// position. A policy with a negative field is refused and leaves the
+// manager unchanged.
+func (m *Manager) EnableFailover(p FailoverPolicy) error {
 	if p.DetectionDelay < 0 || p.RetryBackoff < 0 || p.MaxRetries < 0 {
-		panic("core: negative failover policy field")
+		return fmt.Errorf("core: negative failover policy field: %+v", p)
 	}
 	m.failover = &p
+	return nil
 }
 
 // FailoverEnabled reports whether mid-stream recovery is on.
@@ -81,24 +82,25 @@ func (m *Manager) noteFailover(ev FailoverEvent) {
 	}
 }
 
-// watchStageLease wires the revocation of one of the delivery's stage
-// leases — a remote plan's source relay, an offloaded plan's farm
+// watchStageLeases wires the revocation of every lease still in the
+// delivery's table — a remote plan's source relay, an offloaded plan's farm
 // transcode, a split plan's parked tail leg — into the recovery path. The
 // session's own resources may be intact, but the stage that feeds it (or,
 // for the tail, the second half of the video) is gone, so the session
 // fails now and recovery follows through onSessionFail, re-planning from
 // the current position: back onto an inline transcode, another source, or
 // a plan without a boundary that would stall.
-func (m *Manager) watchStageLease(d *Delivery, slot **gara.Lease) {
-	if *slot == nil {
-		return
-	}
-	(*slot).SetOnRevoke(func(cause error) {
-		*slot = nil // already reclaimed by the revocation
-		if d.Session != nil {
-			d.Session.Fail(cause)
+func (m *Manager) watchStageLeases(d *Delivery) {
+	leases := d.leases
+	for i, l := range leases {
+		if l == nil {
+			continue
 		}
-	})
+		l.SetOnRevoke(func(cause error) {
+			leases[i] = nil // already reclaimed by the revocation
+			d.Session.Fail(cause)
+		})
+	}
 }
 
 // onSessionFail is the failure-detection entry point: an admitted session
@@ -109,10 +111,7 @@ func (m *Manager) onSessionFail(d *Delivery, cause error) {
 	d.releaseStageLeases()
 	m.met.sessionFailures.Inc()
 	d.failedAt = m.cluster.Sim.Now()
-	d.failedFrom = d.Plan.DeliverySite
-	if d.handedOver && d.Plan.Split() {
-		d.failedFrom = d.Plan.TailReplica.Site
-	}
+	d.failedFrom = d.legSite
 	d.resumeFrom = d.Session.Position()
 	d.fpsAtFail = d.Plan.Delivered.FrameRate
 	d.failCause = cause
@@ -151,8 +150,6 @@ func (m *Manager) attemptFailover(d *Delivery, attempt int) {
 			ErrNoViablePlan, d.video.ID, len(plans)))
 		return
 	}
-	opts := d.opts
-	opts.StartFrame = d.resumeFrom
 	next := m.admissionOrder(live)
 	var tryNext func(lastErr error)
 	tryNext = func(lastErr error) {
@@ -161,7 +158,7 @@ func (m *Manager) attemptFailover(d *Delivery, attempt int) {
 			m.concludeFailover(d, attempt, lastErr)
 			return
 		}
-		m.executeInto(d, p, opts, func(err error) {
+		m.executeInto(d, p, d.resumeFrom, func(err error) {
 			if errors.Is(err, errReservationAbandoned) {
 				// Cancelled while a reservation was in flight; the leases
 				// are rolled back and recovery is over.
@@ -171,29 +168,8 @@ func (m *Manager) attemptFailover(d *Delivery, attempt int) {
 				tryNext(err)
 				return
 			}
-			d.recovering = false
-			d.failovers++
-			latency := m.cluster.Sim.Now() - d.failedAt
-			lost := simtime.ToSeconds(latency) * d.fpsAtFail
-			d.framesLost += lost
-			m.met.failovers.Inc()
-			m.met.framesLost.Add(lost)
-			m.met.failoverLatency.Add(int64(latency))
-			d.failSpan.SetArg("to", p.DeliverySite)
 			d.failSpan.SetArg("cache", cacheLabel(hit))
-			d.failSpan.SetArg("frames_lost", lost)
-			d.failSpan.SetArg("attempts", attempt)
-			d.failSpan.End()
-			d.trace.Instant("resume", map[string]any{"site": p.DeliverySite, "frame": d.resumeFrom})
-			m.noteFailover(FailoverEvent{
-				Video:    d.video.ID,
-				At:       m.cluster.Sim.Now(),
-				FromSite: d.failedFrom,
-				ToSite:   p.DeliverySite,
-				Latency:  latency,
-				Frames:   lost,
-				Attempts: attempt,
-			})
+			m.resumed(d, p.DeliverySite, attempt, false)
 		})
 	}
 	tryNext(nil)
@@ -233,61 +209,57 @@ func (m *Manager) bestEffortFallback(d *Delivery, attempt int) bool {
 		if err != nil {
 			continue
 		}
-		cfg := transport.Config{
-			Video:       d.video,
-			Variant:     rep.Variant,
-			Drop:        transport.DropNone,
-			TraceFrames: d.opts.TraceFrames,
-			Path:        d.opts.Path,
-			PathSeed:    d.opts.PathSeed,
-			StartFrame:  d.resumeFrom,
-			Trace:       d.trace,
-		}
-		sess, err := transport.StartBestEffort(m.cluster.Sim, node, cfg, func(s *transport.Session) {
-			// A resume at the video's end finishes synchronously inside
-			// StartBestEffort, before d.Session is assigned below.
-			if d.Session == nil {
-				d.Session = s
-			}
-			m.cluster.sessionEnded()
-			d.streamSpan.End()
-			d.trace.Instant("teardown", nil)
-			if d.opts.OnDone != nil {
-				d.opts.OnDone(d)
-			}
-		})
+		cfg := m.legConfig(d, nil, rep.Variant, d.resumeFrom, 0)
+		sess, err := transport.StartBestEffort(m.cluster.Sim, node, cfg, m.teardown(d))
 		if err != nil {
 			continue
 		}
 		m.cluster.sessionStarted()
 		d.Session = sess
-		d.recovering = false
-		d.degraded = true
-		latency := m.cluster.Sim.Now() - d.failedAt
-		lost := simtime.ToSeconds(latency) * d.fpsAtFail
-		d.framesLost += lost
-		m.met.bestEffortFallbacks.Inc()
-		m.met.framesLost.Add(lost)
-		d.failSpan.SetArg("to", rep.Site)
-		d.failSpan.SetArg("degraded", true)
-		d.failSpan.End()
 		d.streamSpan = d.trace.Span("stream", map[string]any{
 			"site": rep.Site, "video": d.video.Title, "mode": "best-effort",
 		})
-		d.trace.Instant("resume", map[string]any{"site": rep.Site, "frame": d.resumeFrom})
-		m.noteFailover(FailoverEvent{
-			Video:    d.video.ID,
-			At:       m.cluster.Sim.Now(),
-			FromSite: d.failedFrom,
-			ToSite:   rep.Site,
-			Latency:  latency,
-			Frames:   lost,
-			Attempts: attempt,
-			Degraded: true,
-		})
+		m.resumed(d, rep.Site, attempt, true)
 		return true
 	}
 	return false
+}
+
+// resumed concludes a recovery that put the delivery back on a stream at
+// site — a reserved failover, or the degraded best-effort fallback. The gap
+// since the failure (its latency and the frames the viewer's clock passed)
+// is charged to the delivery and the metrics, the failover span closes,
+// and the observer receives the FailoverEvent.
+func (m *Manager) resumed(d *Delivery, site string, attempt int, degraded bool) {
+	d.recovering = false
+	latency := m.cluster.Sim.Now() - d.failedAt
+	lost := simtime.ToSeconds(latency) * d.fpsAtFail
+	d.framesLost += lost
+	m.met.framesLost.Add(lost)
+	d.failSpan.SetArg("to", site)
+	if degraded {
+		d.degraded = true
+		m.met.bestEffortFallbacks.Inc()
+		d.failSpan.SetArg("degraded", true)
+	} else {
+		d.failovers++
+		m.met.failovers.Inc()
+		m.met.failoverLatency.Add(int64(latency))
+		d.failSpan.SetArg("frames_lost", lost)
+		d.failSpan.SetArg("attempts", attempt)
+	}
+	d.failSpan.End()
+	d.trace.Instant("resume", map[string]any{"site": site, "frame": d.resumeFrom})
+	m.noteFailover(FailoverEvent{
+		Video:    d.video.ID,
+		At:       m.cluster.Sim.Now(),
+		FromSite: d.failedFrom,
+		ToSite:   site,
+		Latency:  latency,
+		Frames:   lost,
+		Attempts: attempt,
+		Degraded: degraded,
+	})
 }
 
 // abandon marks the delivery failed with a typed error — the graceful

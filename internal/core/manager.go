@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"quasaq/internal/broker"
 	"quasaq/internal/edgecache"
@@ -53,22 +52,25 @@ var (
 var ErrControlTimeout = broker.ErrControlTimeout
 
 // Delivery is one admitted, executing query: the chosen plan, its streaming
-// session, and the remote-site lease if the plan relays between sites.
-// When failover is enabled, Plan and Session are replaced in place on a
+// session, and the lease table of the plan's reservation stages. When
+// failover is enabled, Plan and Session are replaced in place on a
 // successful mid-stream recovery — the Delivery is the stable handle.
 type Delivery struct {
 	Plan    *Plan
 	Session *transport.Session
 
-	mgr         *Manager
-	sourceLease *gara.Lease
-	farmLease   *gara.Lease // farm-tier transcode stage, offloaded plans only
-	tailLease   *gara.Lease // split plans: the tail leg's lease, held until handover
-	handedOver  bool        // split plans: the tail leg is (or was) the live session
-	video       *media.Video
-	req         qos.Requirement
-	querySite   string
-	opts        ServiceOptions
+	mgr *Manager
+	// leases is the lease table: the plan's committed leases in
+	// reservation-stage order (ReservationStages), so slot 0 is the
+	// delivery lease and a split plan's tail leg is slot tailSlot. A slot
+	// becomes nil once its lease passes to a streaming session or is
+	// released.
+	leases    []*gara.Lease
+	legSite   string // site streaming the live leg
+	video     *media.Video
+	req       qos.Requirement
+	querySite string
+	opts      ServiceOptions
 
 	// Failover state.
 	recovering bool
@@ -165,18 +167,12 @@ func (d *Delivery) Cancel() {
 	d.releaseStageLeases()
 }
 
-// stageLeases returns the slots of the delivery's stage leases beyond the
-// delivery lease itself (which the session owns).
-func (d *Delivery) stageLeases() [3]**gara.Lease {
-	return [3]**gara.Lease{&d.sourceLease, &d.farmLease, &d.tailLease}
-}
-
-// releaseStageLeases returns every stage lease the delivery still holds.
+// releaseStageLeases returns every lease still in the delivery's table.
 func (d *Delivery) releaseStageLeases() {
-	for _, slot := range d.stageLeases() {
-		if *slot != nil {
-			(*slot).Release()
-			*slot = nil
+	for i, l := range d.leases {
+		if l != nil {
+			l.Release()
+			d.leases[i] = nil
 		}
 	}
 }
@@ -311,10 +307,6 @@ type Manager struct {
 
 	tracer  *obs.Tracer
 	sessSeq int // session ordinal for trace thread naming
-
-	// holdSeq spreads in-flight VSA holds across accumulator shards when
-	// fast accounting is enabled.
-	holdSeq atomic.Uint64
 
 	failover   *FailoverPolicy
 	onFailover func(FailoverEvent)

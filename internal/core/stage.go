@@ -95,20 +95,8 @@ var reservationOrder = [...]StageKind{StageDeliver, StageTailDeliver, StageSourc
 
 // ReservationStages returns the stages that hold resources, in reservation
 // order. Stages with a zero demand vector are skipped — an inline
-// transcode needs no participant of its own. Plans built before the staged
-// refactor (or test literals) carry no Stages; their flat
-// DeliveryDemand/SourceDemand fields are adapted so every cost model and
-// the admission path see one shape.
+// transcode needs no participant of its own.
 func (p *Plan) ReservationStages() []Stage {
-	if len(p.Stages) == 0 {
-		out := []Stage{{Kind: StageDeliver, Site: p.DeliverySite, Vec: p.DeliveryDemand}}
-		if p.Remote() {
-			out = append(out, Stage{
-				Kind: StageSource, Site: p.Replica.Site, Suffix: "-relay", Vec: p.SourceDemand,
-			})
-		}
-		return out
-	}
 	out := make([]Stage, 0, len(p.Stages))
 	for _, kind := range reservationOrder {
 		for _, st := range p.Stages {

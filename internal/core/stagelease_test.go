@@ -49,6 +49,17 @@ func admitWhere(t *testing.T, m *Manager, c *Cluster, opts ServiceOptions, want 
 	}
 }
 
+// stageLease returns the lease in the delivery's table for its plan's
+// reservation stage of the given kind (nil when the slot is empty).
+func stageLease(d *Delivery, kind StageKind) *gara.Lease {
+	for i, st := range d.Plan.ReservationStages() {
+		if st.Kind == kind {
+			return d.leases[i]
+		}
+	}
+	return nil
+}
+
 // revokeMidStream revokes the delivery's stage lease (read when the fault
 // fires) five seconds in and drains the world.
 func revokeMidStream(t *testing.T, sim *simtime.Simulator, lease func() *gara.Lease) {
@@ -77,8 +88,10 @@ func assertFailedOver(t *testing.T, m *Manager, c *Cluster, d, done *Delivery) {
 	if st := m.Stats(); st.SessionFailures != 1 || st.Failovers != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if d.sourceLease != nil || d.farmLease != nil || d.tailLease != nil {
-		t.Fatal("stage leases still held after teardown")
+	for i, l := range d.leases {
+		if l != nil {
+			t.Fatalf("lease table slot %d still held after teardown", i)
+		}
 	}
 	if c.OutstandingSessions() != 0 {
 		t.Fatal("sessions leaked")
@@ -96,10 +109,10 @@ func TestSourceLeaseRevocationFailsOver(t *testing.T) {
 	// Keeping delivery off srv-a makes srv-a's titles relay from it.
 	d := admitWhere(t, m, c, ServiceOptions{OnDone: func(x *Delivery) { done = x }, AvoidSites: []string{"srv-a"}},
 		(*Plan).Remote)
-	if d.sourceLease == nil {
+	if stageLease(d, StageSource) == nil {
 		t.Fatalf("remote plan %s admitted without a source lease", d.Plan)
 	}
-	revokeMidStream(t, sim, func() *gara.Lease { return d.sourceLease })
+	revokeMidStream(t, sim, func() *gara.Lease { return stageLease(d, StageSource) })
 	assertFailedOver(t, m, c, d, done)
 }
 
@@ -112,9 +125,9 @@ func TestFarmLeaseRevocationFailsOver(t *testing.T) {
 	}
 	var done *Delivery
 	d := admitWhere(t, m, c, ServiceOptions{OnDone: func(x *Delivery) { done = x }}, (*Plan).FarmOffloaded)
-	if d.farmLease == nil {
+	if stageLease(d, StageTranscode) == nil {
 		t.Fatalf("offloaded plan %s admitted without a farm lease", d.Plan)
 	}
-	revokeMidStream(t, sim, func() *gara.Lease { return d.farmLease })
+	revokeMidStream(t, sim, func() *gara.Lease { return stageLease(d, StageTranscode) })
 	assertFailedOver(t, m, c, d, done)
 }

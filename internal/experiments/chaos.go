@@ -180,7 +180,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.Trace {
 		mgr.EnableTracing()
 	}
-	mgr.EnableFailover(cfg.Policy)
+	if err := mgr.EnableFailover(cfg.Policy); err != nil {
+		return nil, err
+	}
 	mgr.SetFailoverObserver(func(ev core.FailoverEvent) {
 		res.Events = append(res.Events, ev)
 	})

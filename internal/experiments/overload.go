@@ -162,7 +162,9 @@ func RunOverloadPoint(cfg OverloadConfig, variant string, seed int64) (*Overload
 	mgr := core.NewManager(cluster, core.LRB{})
 	pol := core.DefaultFailoverPolicy()
 	pol.BestEffortFallback = true
-	mgr.EnableFailover(pol)
+	if err := mgr.EnableFailover(pol); err != nil {
+		return nil, err
+	}
 
 	var guard *guardian.Guardian
 	if guarded {

@@ -158,7 +158,9 @@ func RunSLAPoint(cfg SLAConfig, tierName string, seed int64) (*SLAPoint, error) 
 	mgr := core.NewManager(cluster, core.LRB{})
 	pol := core.DefaultFailoverPolicy()
 	pol.BestEffortFallback = true
-	mgr.EnableFailover(pol)
+	if err := mgr.EnableFailover(pol); err != nil {
+		return nil, err
+	}
 	guard, err := guardian.New(mgr, cfg.Guardian)
 	if err != nil {
 		return nil, err

@@ -389,16 +389,6 @@ func (db *DB) ConfigureControl(cfg ControlPlaneConfig) error {
 	return db.cluster.ConfigureControl(cfg)
 }
 
-// EnableFastAccounting layers the VSA accumulators over the per-site
-// resource books: admission cost models then see reservations still in
-// flight through the control plane, closing the over-admission window an
-// asynchronous control plane opens. Opt-in and one-shot; with the default
-// synchronous control plane it changes no admission decision. Call before
-// EnableFarm so the farm's pseudo-site joins the fast books too.
-func (db *DB) EnableFastAccounting() error {
-	return db.cluster.EnableFastAccounting()
-}
-
 // DeliverTraced is Deliver with a per-frame completion trace of up to n
 // frames (for QoS analysis).
 func (db *DB) DeliverTraced(site string, id VideoID, req Requirement, n int) (*Delivery, error) {
@@ -541,7 +531,8 @@ var DefaultFailoverPolicy = core.DefaultFailoverPolicy
 // a fault kills an admitted session, the quality manager re-plans on the
 // surviving sites and resumes the stream from the last delivered position,
 // degrading to best-effort or rejecting with ErrNoViablePlan per policy.
-func (db *DB) EnableFailover(p FailoverPolicy) { db.manager.EnableFailover(p) }
+// A policy with a negative field is refused with an error.
+func (db *DB) EnableFailover(p FailoverPolicy) error { return db.manager.EnableFailover(p) }
 
 // OnFailover registers fn to observe every concluded recovery (success,
 // best-effort downgrade, or abandonment).
