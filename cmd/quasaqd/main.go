@@ -31,11 +31,8 @@ func main() {
 	)
 	flag.Parse()
 
-	db, err := quasaq.Open(quasaq.Options{})
+	db, err := quasaq.Open(quasaq.Options{Videos: quasaq.StandardCorpus(*seed)})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(*seed)); err != nil {
 		log.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", *addr)

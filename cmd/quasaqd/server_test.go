@@ -14,11 +14,8 @@ import (
 // (speed tiny so ticks do not interfere with assertions).
 func startTestServer(t *testing.T) net.Addr {
 	t.Helper()
-	db, err := quasaq.Open(quasaq.Options{})
+	db, err := quasaq.Open(quasaq.Options{Videos: quasaq.StandardCorpus(42)})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(42)); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -31,10 +31,7 @@ func TestColdEdgeGoldenEquivalence(t *testing.T) {
 	plain := openLoaded(t, Options{})
 	wantStats, wantOutcomes := goldenFarmWorkload(t, plain)
 
-	edged := openLoaded(t, Options{})
-	if err := edged.EnableEdgeTier([]EdgeSite{{Name: "edge-a"}, {Name: "edge-b"}}, neverAdmit()); err != nil {
-		t.Fatal(err)
-	}
+	edged := openLoaded(t, Options{Edge: &EdgeTier{Sites: []EdgeSite{{Name: "edge-a"}, {Name: "edge-b"}}, Config: neverAdmit()}})
 	gotStats, gotOutcomes := goldenFarmWorkload(t, edged)
 
 	if gotStats != wantStats {
@@ -72,15 +69,6 @@ func TestEdgeStatsZeroWithoutEdge(t *testing.T) {
 	if got := db.EdgeSites(); len(got) != 0 {
 		t.Fatalf("EdgeSites without an edge tier = %v", got)
 	}
-	if err := db.EnableEdgeTier([]EdgeSite{{Name: "edge-a"}}, EdgeConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.EnableEdgeTier([]EdgeSite{{Name: "edge-b"}}, EdgeConfig{}); err == nil {
-		t.Fatal("second EnableEdgeTier did not error")
-	}
-	if err := openLoaded(t, Options{}).EnableEdgeTier(nil, EdgeConfig{}); err == nil {
-		t.Fatal("EnableEdgeTier with no sites did not error")
-	}
 }
 
 // TestEdgeTierLiveSplitDelivery drives a skewed workload through an
@@ -88,11 +76,8 @@ func TestEdgeStatsZeroWithoutEdge(t *testing.T) {
 // install, split plans win admission, and every split delivery hands over
 // to its tail leg and completes.
 func TestEdgeTierLiveSplitDelivery(t *testing.T) {
-	db := openLoaded(t, Options{})
 	cfg := EdgeConfig{MinHits: 1, PrefixGOPs: 4, Interval: time.Second, PromoteHits: 1 << 30}
-	if err := db.EnableEdgeTier([]EdgeSite{{Name: "edge-a"}, {Name: "edge-b"}}, cfg); err != nil {
-		t.Fatal(err)
-	}
+	db := openLoaded(t, Options{Edge: &EdgeTier{Sites: []EdgeSite{{Name: "edge-a"}, {Name: "edge-b"}}, Config: cfg}})
 
 	// Pin the top stored tier: the prefix caches the highest-bitrate
 	// variant, and a requirement the cheaper tiers cannot satisfy makes the

@@ -10,10 +10,7 @@ import (
 // control plane has latency, every synchronous entry point fails with
 // ErrAsyncControl — and the continuation-passing counterparts still work.
 func TestSyncEntryPointsUnderAsyncControl(t *testing.T) {
-	db := openLoaded(t, Options{})
-	if err := db.ConfigureControl(TestbedControlPlane()); err != nil {
-		t.Fatal(err)
-	}
+	db := openLoaded(t, Options{Control: TestbedControlPlane()})
 	// An established delivery to renegotiate, admitted through the async
 	// path; a second of virtual time settles the control round trips
 	// without finishing the 30 s stream.

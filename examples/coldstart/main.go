@@ -16,14 +16,14 @@ import (
 )
 
 func main() {
-	db, err := quasaq.Open(quasaq.Options{SingleCopyReplication: true})
+	db, err := quasaq.Open(quasaq.Options{
+		SingleCopyReplication: true,
+		Videos:                quasaq.StandardCorpus(42),
+		Dynamic:               &quasaq.DynamicReplication{Interval: 15 * time.Second, Batch: 4},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(42)); err != nil {
-		log.Fatal(err)
-	}
-	db.EnableDynamicReplication(15*time.Second, 4)
 
 	prof := quasaq.DefaultProfile("viewer")
 	tiers := []quasaq.QoP{

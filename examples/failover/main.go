@@ -16,17 +16,10 @@ import (
 )
 
 func main() {
-	db, err := quasaq.Open(quasaq.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(7)); err != nil {
-		log.Fatal(err)
-	}
-
 	pol := quasaq.DefaultFailoverPolicy()
 	pol.BestEffortFallback = true
-	if err := db.EnableFailover(pol); err != nil {
+	db, err := quasaq.Open(quasaq.Options{Videos: quasaq.StandardCorpus(7), Failover: &pol})
+	if err != nil {
 		log.Fatal(err)
 	}
 	db.OnFailover(func(ev quasaq.FailoverEvent) {

@@ -20,11 +20,8 @@ func main() {
 	}
 
 	run := func(name string, model quasaq.CostModel) *quasaq.DB {
-		db, err := quasaq.Open(quasaq.Options{Model: model})
+		db, err := quasaq.Open(quasaq.Options{Model: model, Videos: quasaq.StandardCorpus(42)})
 		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := db.AddVideos(quasaq.StandardCorpus(42)); err != nil {
 			log.Fatal(err)
 		}
 		// The burst: 90 queries round-robin over sites, videos and tiers,

@@ -11,21 +11,16 @@ import (
 )
 
 func main() {
-	// A three-server cluster with the paper's testbed capacities.
-	db, err := quasaq.Open(quasaq.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Ingest the 15-video corpus: catalog insertion, shot/feature
-	// extraction, offline replication of the quality ladder to every
-	// site, and QoS-profile sampling.
-	stored, err := db.AddVideos(quasaq.StandardCorpus(42))
+	// A three-server cluster with the paper's testbed capacities, holding
+	// the 15-video corpus: catalog insertion, shot/feature extraction,
+	// offline replication of the quality ladder to every site, and
+	// QoS-profile sampling all happen at open.
+	db, err := quasaq.Open(quasaq.Options{Videos: quasaq.StandardCorpus(42)})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("loaded %d videos, %d MB of replicas across %v\n",
-		len(db.Videos()), stored>>20, db.Sites())
+		len(db.Videos()), db.StoredBytes()>>20, db.Sites())
 
 	// Phase 1+2 in one call: the content part of the query finds the
 	// video; the WITH QOS clause drives plan generation, LRB costing,

@@ -14,11 +14,8 @@ import (
 )
 
 func main() {
-	db, err := quasaq.Open(quasaq.Options{})
+	db, err := quasaq.Open(quasaq.Options{Videos: quasaq.StandardCorpus(42)})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(42)); err != nil {
 		log.Fatal(err)
 	}
 

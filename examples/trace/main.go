@@ -19,15 +19,9 @@ import (
 )
 
 func main() {
-	db, err := quasaq.Open(quasaq.Options{})
+	pol := quasaq.DefaultFailoverPolicy()
+	db, err := quasaq.Open(quasaq.Options{Videos: quasaq.StandardCorpus(42), Failover: &pol, Tracing: true})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(42)); err != nil {
-		log.Fatal(err)
-	}
-	db.EnableTracing()
-	if err := db.EnableFailover(quasaq.DefaultFailoverPolicy()); err != nil {
 		log.Fatal(err)
 	}
 

@@ -15,18 +15,10 @@ func main() {
 	// Single-copy storage: only the original quality of each video exists,
 	// so delivering any lower tier forces an online transcode — exactly
 	// the work the farm exists to absorb.
-	db, err := quasaq.Open(quasaq.Options{SingleCopyReplication: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(42)); err != nil {
-		log.Fatal(err)
-	}
-
 	// A mixed fleet: a fast, expensive class for deadline pressure and a
 	// slow, cheap one for background capacity, scaled by the autoscaler
 	// every 2 s of virtual time.
-	err = db.EnableTranscodeFarm(quasaq.FarmConfig{
+	farm := quasaq.FarmConfig{
 		Classes: []quasaq.WorkerClass{
 			{Name: "fast", Speed: 4, Startup: quasaq.Time(250 * time.Millisecond),
 				DollarsPerHour: 2.4, MaxWorkers: 4},
@@ -34,7 +26,8 @@ func main() {
 				DollarsPerHour: 0.3, MinWorkers: 1, MaxWorkers: 6},
 		},
 		Autoscale: quasaq.AutoscaleConfig{Interval: quasaq.Time(2 * time.Second)},
-	})
+	}
+	db, err := quasaq.Open(quasaq.Options{SingleCopyReplication: true, Videos: quasaq.StandardCorpus(42), Farm: &farm})
 	if err != nil {
 		log.Fatal(err)
 	}

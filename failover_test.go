@@ -12,14 +12,11 @@ import (
 // mid-stream, watch the delivery resume elsewhere.
 
 func TestPublicFailover(t *testing.T) {
-	db, err := quasaq.Open(quasaq.Options{})
+	pol := quasaq.DefaultFailoverPolicy()
+	db, err := quasaq.Open(quasaq.Options{Videos: quasaq.StandardCorpus(7), Failover: &pol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(7)); err != nil {
-		t.Fatal(err)
-	}
-	db.EnableFailover(quasaq.DefaultFailoverPolicy())
 	var events []quasaq.FailoverEvent
 	db.OnFailover(func(ev quasaq.FailoverEvent) { events = append(events, ev) })
 
@@ -66,16 +63,12 @@ func TestPublicFailover(t *testing.T) {
 }
 
 func TestPublicFaultScheduleAndLinkFaults(t *testing.T) {
-	db, err := quasaq.Open(quasaq.Options{})
+	pol := quasaq.DefaultFailoverPolicy()
+	pol.BestEffortFallback = true
+	db, err := quasaq.Open(quasaq.Options{Videos: quasaq.StandardCorpus(7), Failover: &pol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(7)); err != nil {
-		t.Fatal(err)
-	}
-	pol := quasaq.DefaultFailoverPolicy()
-	pol.BestEffortFallback = true
-	db.EnableFailover(pol)
 
 	sched, err := quasaq.ParseFaultSchedule("10s link-degrade srv-a 0.5\n40s link-restore srv-a\n")
 	if err != nil {
@@ -101,46 +94,5 @@ func TestPublicFaultScheduleAndLinkFaults(t *testing.T) {
 	}
 	if err := db.CrashSite("nope"); err == nil {
 		t.Fatal("unknown site accepted")
-	}
-}
-
-// A failover policy with a negative field is bad input from a library
-// caller: EnableFailover refuses it with an error instead of panicking, and
-// failover stays off — a crash then abandons the delivery.
-func TestEnableFailoverRejectsNegativePolicy(t *testing.T) {
-	db, err := quasaq.Open(quasaq.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddVideos(quasaq.StandardCorpus(7)); err != nil {
-		t.Fatal(err)
-	}
-	for name, mutate := range map[string]func(*quasaq.FailoverPolicy){
-		"DetectionDelay": func(p *quasaq.FailoverPolicy) { p.DetectionDelay = -1 },
-		"RetryBackoff":   func(p *quasaq.FailoverPolicy) { p.RetryBackoff = -1 },
-		"MaxRetries":     func(p *quasaq.FailoverPolicy) { p.MaxRetries = -1 },
-	} {
-		pol := quasaq.DefaultFailoverPolicy()
-		mutate(&pol)
-		if err := db.EnableFailover(pol); err == nil {
-			t.Errorf("negative %s accepted", name)
-		}
-	}
-
-	req := quasaq.Requirement{MinResolution: quasaq.ResVCD, MinFrameRate: 20, MinColorDepth: 8}
-	d, err := db.Deliver("srv-b", 1, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.Advance(5 * time.Second)
-	if err := db.CrashSite(d.Plan.DeliverySite); err != nil {
-		t.Fatal(err)
-	}
-	db.Advance(30 * time.Second)
-	if !d.Failed() || d.Failovers() != 0 {
-		t.Fatalf("failed=%v failovers=%d: a refused policy must leave failover off", d.Failed(), d.Failovers())
-	}
-	if err := db.EnableFailover(quasaq.DefaultFailoverPolicy()); err != nil {
-		t.Fatalf("valid policy refused: %v", err)
 	}
 }

@@ -71,10 +71,7 @@ func TestNeutralFarmGoldenEquivalence(t *testing.T) {
 	plain := openLoaded(t, Options{SingleCopyReplication: true})
 	wantStats, wantOutcomes := goldenFarmWorkload(t, plain)
 
-	farmed := openLoaded(t, Options{SingleCopyReplication: true})
-	if err := farmed.EnableTranscodeFarm(FarmConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	farmed := openLoaded(t, Options{SingleCopyReplication: true, Farm: &FarmConfig{}})
 	gotStats, gotOutcomes := goldenFarmWorkload(t, farmed)
 
 	if gotStats != wantStats {
@@ -109,11 +106,5 @@ func TestFarmStatsZeroWithoutFarm(t *testing.T) {
 	fs := db.TranscodeStats()
 	if fs.Jobs != 0 || fs.Completed != 0 || len(fs.PerClass) != 0 {
 		t.Fatalf("TranscodeStats without a farm = %+v, want zero value", fs)
-	}
-	if err := db.EnableTranscodeFarm(FarmConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.EnableTranscodeFarm(FarmConfig{}); err == nil {
-		t.Fatal("second EnableTranscodeFarm did not error")
 	}
 }

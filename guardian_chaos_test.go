@@ -27,10 +27,8 @@ func chaosGuardianCfg() GuardianConfig {
 // exactly that order, finishing with a typed ErrQoSAbandoned that names
 // the violated metric.
 func TestGuardianLadderOrderUnderChaos(t *testing.T) {
-	db := openLoaded(t, Options{})
-	if err := db.EnableGuardian(chaosGuardianCfg()); err != nil {
-		t.Fatal(err)
-	}
+	gcfg := chaosGuardianCfg()
+	db := openLoaded(t, Options{Guardian: &gcfg})
 	var rungs []string
 	var abandoned *Delivery
 	if err := db.OnGuardianEvent(func(ev GuardianEvent) {
@@ -99,10 +97,8 @@ func TestGuardianLadderOrderUnderChaos(t *testing.T) {
 // a recovery event, no higher rungs, and the session completing counts as
 // saved by rung 1.
 func TestGuardianRecoveryStopsEscalation(t *testing.T) {
-	db := openLoaded(t, Options{})
-	if err := db.EnableGuardian(chaosGuardianCfg()); err != nil {
-		t.Fatal(err)
-	}
+	gcfg := chaosGuardianCfg()
+	db := openLoaded(t, Options{Guardian: &gcfg})
 	recovered := false
 	saved := false
 	if err := db.OnGuardianEvent(func(ev GuardianEvent) {
@@ -166,12 +162,12 @@ func TestGuardianRecoveryStopsEscalation(t *testing.T) {
 // observer — outcome stats and every session's observed QoS identical.
 func TestGuardianIdleMatchesDisabledGolden(t *testing.T) {
 	run := func(withGuardian bool) string {
-		db := openLoaded(t, Options{})
+		var opts Options
 		if withGuardian {
-			if err := db.EnableGuardian(chaosGuardianCfg()); err != nil {
-				t.Fatal(err)
-			}
+			gcfg := chaosGuardianCfg()
+			opts.Guardian = &gcfg
 		}
+		db := openLoaded(t, opts)
 		var ds []*Delivery
 		for i, site := range db.Sites() {
 			d, err := db.Deliver(site, VideoID(1+i), Requirement{MinResolution: ResVCD, MaxResolution: ResCIF})
@@ -207,12 +203,9 @@ func TestGuardianIdleMatchesDisabledGolden(t *testing.T) {
 // abandon rung: the first declared violation sheds the session, and the
 // public error chain exposes both the sentinel and the violation detail.
 func TestGuardianCustomLadderAbandonError(t *testing.T) {
-	db := openLoaded(t, Options{})
 	cfg := chaosGuardianCfg()
 	cfg.Ladder = []GuardianRung{GuardianAbandon}
-	if err := db.EnableGuardian(cfg); err != nil {
-		t.Fatal(err)
-	}
+	db := openLoaded(t, Options{Guardian: &cfg})
 	d, err := db.Deliver("srv-b", 5, Requirement{MinResolution: ResDVD, MinFrameRate: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -247,11 +240,9 @@ func TestGuardianCustomLadderAbandonError(t *testing.T) {
 // guardian must re-baseline on the swapped session rather than judging it
 // against the dead one's accounting.
 func TestGuardianCoexistsWithFailoverOnDegradedLink(t *testing.T) {
-	db := openLoaded(t, Options{})
-	db.EnableFailover(DefaultFailoverPolicy())
-	if err := db.EnableGuardian(chaosGuardianCfg()); err != nil {
-		t.Fatal(err)
-	}
+	pol := DefaultFailoverPolicy()
+	gcfg := chaosGuardianCfg()
+	db := openLoaded(t, Options{Failover: &pol, Guardian: &gcfg})
 	if err := db.OnGuardianEvent(func(ev GuardianEvent) {
 		switch ev.Kind {
 		case "stepdown", "renegotiate", "migrate", "abandon":

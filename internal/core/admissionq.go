@@ -42,13 +42,22 @@ func (m *Manager) ConfigureAdmissionQueue(cfg AdmissionQueueConfig) error {
 		m.aq = nil
 		return nil
 	}
-	if cfg.MaxInFlight <= 0 {
-		return fmt.Errorf("core: admission queue needs MaxInFlight > 0, got %d", cfg.MaxInFlight)
-	}
-	if cfg.MaxQueue < 0 || cfg.Deadline < 0 {
-		return fmt.Errorf("core: negative admission queue parameter in %+v", cfg)
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	m.aq = newAdmissionQueue(m, cfg)
+	return nil
+}
+
+// Validate rejects a queue without in-flight slots or with a negative
+// bound.
+func (c AdmissionQueueConfig) Validate() error {
+	if c.MaxInFlight <= 0 {
+		return fmt.Errorf("core: admission queue needs MaxInFlight > 0, got %d", c.MaxInFlight)
+	}
+	if c.MaxQueue < 0 || c.Deadline < 0 {
+		return fmt.Errorf("core: negative admission queue parameter in %+v", c)
+	}
 	return nil
 }
 

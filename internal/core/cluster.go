@@ -41,12 +41,6 @@ type Cluster struct {
 	Ctrl    *broker.Net
 	Brokers map[string]*broker.Broker
 
-	// Farm is the shared elastic transcoding tier (nil until EnableFarm).
-	// Its pseudo-site FarmSite joins Nodes and Brokers — so reservations,
-	// usage queries and partition checks treat it like any site — but not
-	// siteNames: it stores no replicas and serves no deliveries.
-	Farm *transcode.Farm
-
 	siteNames []string
 	edgeSites []string   // edge proxy sites, configuration order (EnableEdgeTier)
 	mActive   *obs.Gauge // live streaming sessions (deliveries, not leases)
@@ -124,19 +118,17 @@ func (c *Cluster) ConfigureControl(cfg broker.Config) error {
 }
 
 // FarmSite is the pseudo-site name of the shared transcoding tier in the
-// cluster's node and broker tables.
+// cluster's node and broker tables; it is not in Sites(): it stores no
+// replicas and serves no deliveries.
 const FarmSite = "farm"
 
 // EnableFarm attaches the elastic transcoding tier: a Farm on the sim
 // clock, fronted by a gara node whose CPU capacity is the farm's peak
 // transcode throughput (so reservations of offloaded stages book against
 // the fleet's envelope) and a broker of its own, so the farm participates
-// in two-phase reservations like any site. One farm per cluster; the name
+// in two-phase reservations like any site. One farm per cluster: the name
 // FarmSite must be free.
 func (c *Cluster) EnableFarm(cfg transcode.FarmConfig) (*transcode.Farm, error) {
-	if c.Farm != nil {
-		return nil, fmt.Errorf("core: farm already enabled")
-	}
 	if _, taken := c.Nodes[FarmSite]; taken {
 		return nil, fmt.Errorf("core: site name %q is reserved for the farm", FarmSite)
 	}
@@ -158,7 +150,6 @@ func (c *Cluster) EnableFarm(cfg transcode.FarmConfig) (*transcode.Farm, error) 
 	b := broker.New(c.Sim, n, c.Obs)
 	c.Brokers[FarmSite] = b
 	c.Ctrl.Register(FarmSite, b.Handle)
-	c.Farm = farm
 	return farm, nil
 }
 
@@ -181,9 +172,6 @@ type EdgeSite struct {
 // keeps returning the origin tier only, and with the edge tier never
 // enabled every code path is byte-identical to the flat cluster.
 func (c *Cluster) EnableEdgeTier(sites []EdgeSite) error {
-	if len(sites) == 0 {
-		return fmt.Errorf("core: no edge sites")
-	}
 	if len(c.edgeSites) > 0 {
 		return fmt.Errorf("core: edge tier already enabled")
 	}

@@ -61,15 +61,20 @@ type FailoverEvent struct {
 // position. A policy with a negative field is refused and leaves the
 // manager unchanged.
 func (m *Manager) EnableFailover(p FailoverPolicy) error {
-	if p.DetectionDelay < 0 || p.RetryBackoff < 0 || p.MaxRetries < 0 {
-		return fmt.Errorf("core: negative failover policy field: %+v", p)
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	m.failover = &p
 	return nil
 }
 
-// FailoverEnabled reports whether mid-stream recovery is on.
-func (m *Manager) FailoverEnabled() bool { return m.failover != nil }
+// Validate rejects a policy with a negative field.
+func (p FailoverPolicy) Validate() error {
+	if p.DetectionDelay < 0 || p.RetryBackoff < 0 || p.MaxRetries < 0 {
+		return fmt.Errorf("core: negative failover policy field: %+v", p)
+	}
+	return nil
+}
 
 // SetFailoverObserver registers fn to be called at the conclusion of every
 // recovery (success, degrade, or abandonment) — the chaos experiment's

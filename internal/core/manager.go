@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"quasaq/internal/broker"
 	"quasaq/internal/edgecache"
@@ -320,9 +319,6 @@ type Manager struct {
 	// plans stream their GOPs through it, and a non-neutral farm makes the
 	// generator emit farm-offloaded stage candidates.
 	farm *transcode.Farm
-
-	// edge is the cooperative prefix-cache tier (nil until EnableEdgeTier).
-	edge *edgecache.Manager
 }
 
 // NewManager wires a quality manager to a cluster with a cost model.
@@ -362,9 +358,6 @@ func NewManagerWithConfig(c *Cluster, model CostModel, cfg GeneratorConfig) *Man
 // delivery CPUs; call it before serving queries, since it rebuilds the
 // generator and re-keys the candidate cache.
 func (m *Manager) EnableFarm(cfg transcode.FarmConfig) (*transcode.Farm, error) {
-	if m.farm != nil {
-		return nil, fmt.Errorf("core: farm already enabled")
-	}
 	farm, err := m.cluster.EnableFarm(cfg)
 	if err != nil {
 		return nil, err
@@ -390,9 +383,6 @@ func (m *Manager) Farm() *transcode.Farm { return m.farm }
 // replicas. Call after LoadCorpus and before serving queries — provisioning
 // re-keys the candidate cache. One edge tier per manager.
 func (m *Manager) EnableEdgeTier(sites []EdgeSite, cfg edgecache.Config) (*edgecache.Manager, error) {
-	if m.edge != nil {
-		return nil, fmt.Errorf("core: edge tier already enabled")
-	}
 	if err := m.cluster.EnableEdgeTier(sites); err != nil {
 		return nil, err
 	}
@@ -408,14 +398,9 @@ func (m *Manager) EnableEdgeTier(sites []EdgeSite, cfg edgecache.Config) (*edgec
 		m.cluster.Nodes[name].Watch(func(gara.NodeEvent) { m.cache.BumpLiveness() })
 	}
 	ec.Start()
-	m.edge = ec
 	m.cache.BumpLiveness()
 	return ec, nil
 }
-
-// EdgeCache returns the attached edge prefix-cache manager (nil when the
-// edge tier is disabled).
-func (m *Manager) EdgeCache() *edgecache.Manager { return m.edge }
 
 // Stats returns a typed view over the metrics registry's quality-manager
 // series — the same numbers WriteJSON/WriteCSV export.

@@ -8,8 +8,8 @@ import (
 
 	"quasaq/internal/broker"
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/media"
-	"quasaq/internal/replication"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 	"quasaq/internal/stats"
@@ -65,22 +65,18 @@ func RunAdmissionPoint(cfg AdmissionConfig, load float64, seed int64) (*Admissio
 	if load <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive load %v", load)
 	}
-	sim := simtime.NewSimulator()
-	cluster := core.TestbedCluster(sim)
 	corpus := media.StandardCorpus(uint64(seed))
-	if _, err := cluster.LoadCorpus(corpus, replication.DefaultPolicy()); err != nil {
+	w, err := deploy.Open(deploy.Config{Videos: corpus, Control: cfg.Ctrl})
+	if err != nil {
 		return nil, err
 	}
-	if err := cluster.ConfigureControl(cfg.Ctrl); err != nil {
-		return nil, err
-	}
-	mgr := core.NewManager(cluster, core.LRB{})
+	sim, mgr := w.Sim, w.Manager
 
 	out := &AdmissionPoint{Load: load, Latency: &stats.Sample{}}
 	gen := workload.New(workload.Config{
 		Seed:             seed,
 		Videos:           corpus,
-		Sites:            cluster.Sites(),
+		Sites:            w.Cluster.Sites(),
 		MeanInterArrival: simtime.Seconds(1 / load),
 	})
 	gen.Drive(sim, cfg.Horizon, func(r workload.Request) {

@@ -7,10 +7,10 @@ import (
 	"strings"
 
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/faults"
 	"quasaq/internal/media"
 	"quasaq/internal/obs"
-	"quasaq/internal/replication"
 	"quasaq/internal/simtime"
 	"quasaq/internal/workload"
 )
@@ -168,34 +168,23 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if err := cfg.Schedule.Validate(); err != nil {
 		return nil, err
 	}
-	sim := simtime.NewSimulator()
-	cluster := core.TestbedCluster(sim)
 	corpus := media.StandardCorpus(uint64(cfg.Seed))
-	if _, err := cluster.LoadCorpus(corpus, replication.DefaultPolicy()); err != nil {
+	w, err := deploy.Open(deploy.Config{Videos: corpus, Failover: &cfg.Policy, Tracing: cfg.Trace})
+	if err != nil {
 		return nil, err
 	}
+	sim, mgr := w.Sim, w.Manager
 
 	res := &ChaosResult{}
-	mgr := core.NewManager(cluster, core.LRB{})
-	if cfg.Trace {
-		mgr.EnableTracing()
-	}
-	if err := mgr.EnableFailover(cfg.Policy); err != nil {
-		return nil, err
-	}
 	mgr.SetFailoverObserver(func(ev core.FailoverEvent) {
 		res.Events = append(res.Events, ev)
 	})
-
-	in := faults.NewInjector(sim)
-	for _, site := range cluster.Sites() {
-		in.RegisterNode(cluster.Nodes[site])
-	}
-	if err := in.Apply(cfg.Schedule); err != nil {
+	in, err := w.InjectFaults(cfg.Schedule)
+	if err != nil {
 		return nil, err
 	}
 
-	gen := paperWorkload(cfg.Seed, cluster, corpus)
+	gen := paperWorkload(cfg.Seed, w.Cluster, corpus)
 	gen.Drive(sim, cfg.Horizon, func(r workload.Request) {
 		res.Queries++
 		if _, err := mgr.Service(r.Site, r.Video, r.Req, core.ServiceOptions{

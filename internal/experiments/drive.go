@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/qos"
 	"quasaq/internal/simtime"
 	"quasaq/internal/workload"
@@ -33,12 +34,14 @@ type serveHooks struct {
 	failed  func(error)
 }
 
-// serveAll offers every arrival gen draws over horizon to mgr
-// asynchronously and tallies the outcomes, then drains the world
-// completely — arrivals, faults, recoveries, guardian windows, farm jobs
-// and streams are all finite, so the event queue empties — and checks that
-// every admission settled and every session concluded.
-func (t *Tally) serveAll(name string, sim *simtime.Simulator, mgr *core.Manager, gen *workload.Generator, horizon simtime.Time, h serveHooks) error {
+// serveAll offers every arrival gen draws over horizon to the world's
+// manager asynchronously (after the world has observed its demand) and
+// tallies the outcomes, then drains the world completely — arrivals,
+// faults, recoveries, guardian windows, farm jobs and streams are all
+// finite, so the event queue empties — and checks that every admission
+// settled and every session concluded.
+func (t *Tally) serveAll(name string, w *deploy.World, gen *workload.Generator, horizon simtime.Time, h serveHooks) error {
+	sim := w.Sim
 	gen.Drive(sim, horizon, func(r workload.Request) {
 		t.Queries++
 		arrived := sim.Now()
@@ -46,7 +49,8 @@ func (t *Tally) serveAll(name string, sim *simtime.Simulator, mgr *core.Manager,
 		if h.arrive != nil {
 			req = h.arrive(r)
 		}
-		mgr.ServiceAsync(r.Site, r.Video, req, core.ServiceOptions{
+		w.Observe(r.Site, r.Video, req)
+		w.Manager.ServiceAsync(r.Site, r.Video, req, core.ServiceOptions{
 			OnDone: func(d *core.Delivery) {
 				t.Completed++
 				if d.Session.QoSOK() {

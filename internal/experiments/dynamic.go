@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"quasaq/internal/core"
-	"quasaq/internal/media"
-	"quasaq/internal/netsim"
-	"quasaq/internal/replication"
+	"quasaq/internal/deploy"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
-	"quasaq/internal/workload"
 )
 
 // DynamicPoint is one configuration of the dynamic-replication comparison:
@@ -62,72 +58,27 @@ var Dynamic = &Spec[ThroughputConfig, *DynamicPoint]{
 }
 
 // runDynamicSingle is the hermetic single-copy + online-replication cell:
-// it builds its own world (the replicator must be wired into the serving
-// path, so it cannot reuse RunThroughput) and reports the replicator's
-// outcomes next to the throughput series.
+// the throughput run with the replicator wired into the serving path,
+// reporting the replicator's outcomes next to the throughput series.
 func runDynamicSingle(cfg ThroughputConfig) (*DynamicPoint, error) {
-	sim := simtime.NewSimulator()
-	cluster := core.TestbedCluster(sim)
-	corpus := media.StandardCorpus(uint64(cfg.Seed))
-	if _, err := cluster.LoadCorpus(corpus, replication.SingleCopyPolicy()); err != nil {
-		return nil, err
-	}
-	sites := make([]replication.Site, 0, 3)
-	for _, s := range cluster.Sites() {
-		sites = append(sites, replication.Site{Name: s, Blobs: cluster.Blobs[s]})
-	}
-	dyn := replication.NewDynamic(sim, cluster.Dir, corpus, sites)
-	links := map[string]*netsim.Link{}
-	for name, node := range cluster.Nodes {
-		links[name] = node.Link()
-	}
-	dyn.SetLinks(links)
-	dyn.Start(simtime.Seconds(20), 4)
-
-	out := &Series{System: SysQuaSAQ, Bucket: cfg.Bucket}
-	mgr := core.NewManager(cluster, core.LRB{})
-	var admitTimes []simtime.Time
-	gen := paperWorkload(cfg.Seed, cluster, corpus)
-	gen.Drive(sim, cfg.Horizon, func(r workload.Request) {
-		out.Queries++
-		dyn.Observe(r.Video, r.Req)
-		if _, err := mgr.Service(r.Site, r.Video, r.Req, core.ServiceOptions{
-			OnDone: func(d *core.Delivery) {
-				out.Completed++
-				if d.Session.QoSOK() {
-					out.QoSOK++
-				}
-			},
-		}); err != nil {
-			out.Rejected++
-		} else {
-			out.Admitted++
-			admitTimes = append(admitTimes, sim.Now())
-		}
-	})
-	samples := int(cfg.Horizon / cfg.Bucket)
-	for i := 1; i <= samples; i++ {
-		at := simtime.Time(i) * cfg.Bucket
-		sim.ScheduleAt(at, func() {
-			out.Times = append(out.Times, simtime.ToSeconds(sim.Now()))
-			out.Outstanding = append(out.Outstanding, float64(cluster.OutstandingSessions()))
-		})
-	}
-	sim.RunUntil(cfg.Horizon)
-
+	cfg.SingleCopy = true
 	half := cfg.Horizon / 2
 	var first, second int
-	for _, t := range admitTimes {
-		if t < half {
-			first++
-		} else {
-			second++
-		}
+	out, w, err := runThroughput(SysQuaSAQ, cfg, &deploy.DynamicReplication{Interval: simtime.Seconds(20), Batch: 4},
+		func(at simtime.Time) {
+			if at < half {
+				first++
+			} else {
+				second++
+			}
+		})
+	if err != nil {
+		return nil, err
 	}
 	halfSecs := simtime.ToSeconds(half)
 	return &DynamicPoint{
 		Series:          out,
-		ReplicasCreated: dyn.Created(),
+		ReplicasCreated: w.Dynamic.Created(),
 		AdmitFirstHalf:  float64(first) / halfSecs,
 		AdmitSecondHalf: float64(second) / halfSecs,
 	}, nil

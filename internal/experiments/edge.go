@@ -5,11 +5,10 @@ import (
 	"strings"
 
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/edgecache"
 	"quasaq/internal/media"
 	"quasaq/internal/metadata"
-	"quasaq/internal/qos"
-	"quasaq/internal/replication"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 	"quasaq/internal/stats"
@@ -160,25 +159,14 @@ func RunEdgePoint(cfg EdgeExpConfig, mode string, seed int64) (*EdgePoint, error
 		return nil, fmt.Errorf("experiments: edge needs a phase schedule")
 	}
 
-	sim := simtime.NewSimulator()
-	cluster := core.TestbedCluster(sim)
 	corpus := media.StandardCorpus(uint64(seed))
-	if _, err := cluster.LoadCorpus(corpus, replication.DefaultPolicy()); err != nil {
-		return nil, err
-	}
-	mgr := core.NewManager(cluster, core.LRB{})
-
-	var ec *edgecache.Manager
+	dc := deploy.Config{Videos: corpus}
 	if mode == EdgeModeOn {
-		var err error
-		ec, err = mgr.EnableEdgeTier(cfg.Sites, cfg.Edge)
-		if err != nil {
-			return nil, err
-		}
-		sites := cluster.Sites()
-		for i, s := range sites {
-			ec.MapClient(s, cfg.Sites[i%len(cfg.Sites)].Name)
-		}
+		dc.Edge = &deploy.EdgeTier{Sites: cfg.Sites, Config: cfg.Edge}
+	}
+	w, err := deploy.Open(dc)
+	if err != nil {
+		return nil, err
 	}
 
 	out := &EdgePoint{Mode: mode, Startup: &stats.Sample{}}
@@ -186,31 +174,25 @@ func RunEdgePoint(cfg EdgeExpConfig, mode string, seed int64) (*EdgePoint, error
 	gen := workload.New(workload.Config{
 		Seed:             seed,
 		Videos:           corpus,
-		Sites:            cluster.Sites(),
+		Sites:            w.Cluster.Sites(),
 		MeanInterArrival: simtime.Seconds(1 / cfg.BaseLoad),
 		ZipfSkew:         cfg.ZipfSkew,
 		Phases:           cfg.Phases,
 	})
-	if err := out.serveAll("edge", sim, mgr, gen, cfg.Horizon(), serveHooks{
-		arrive: func(r workload.Request) qos.Requirement {
-			if ec != nil {
-				ec.Observe(r.Site, r.Video)
-			}
-			return r.Req
-		},
+	if err := out.serveAll("edge", w, gen, cfg.Horizon(), serveHooks{
 		verdict: func(d *core.Delivery, err error, _ simtime.Time) {
 			if err == nil {
-				out.observeAdmission(cfg, cluster, d, jitter)
+				out.observeAdmission(cfg, w.Cluster, d, jitter)
 			}
 		},
 	}); err != nil {
 		return nil, err
 	}
-	ms := mgr.Stats()
+	ms := w.Manager.Stats()
 	out.SplitAdmissions = ms.SplitAdmissions
 	out.Handovers = ms.Handovers
-	if ec != nil {
-		out.Edge = ec.Stats()
+	if w.Edge != nil {
+		out.Edge = w.Edge.Stats()
 	}
 	return out, nil
 }

@@ -16,9 +16,9 @@ import (
 	"strings"
 
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/media"
 	"quasaq/internal/qos"
-	"quasaq/internal/replication"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 	"quasaq/internal/stats"
@@ -167,12 +167,11 @@ func runFig5Panel(cfg Fig5Config, quasaq bool, contention int, label string) (*D
 	if cfg.Frames <= 0 {
 		cfg.Frames = 1000
 	}
-	sim := simtime.NewSimulator()
-	cluster := core.TestbedCluster(sim)
-	corpus := media.StandardCorpus(uint64(cfg.Seed))
-	if _, err := cluster.LoadCorpus(corpus, replication.DefaultPolicy()); err != nil {
+	w, err := deploy.Open(deploy.Config{Videos: media.StandardCorpus(uint64(cfg.Seed))})
+	if err != nil {
 		return nil, err
 	}
+	sim, cluster := w.Sim, w.Cluster
 	rng := simtime.NewRand(cfg.Seed)
 	node := cluster.Nodes["srv-a"]
 
@@ -216,10 +215,9 @@ func runFig5Panel(cfg Fig5Config, quasaq bool, contention int, label string) (*D
 	sim.ScheduleAt(start, func() {
 		var err error
 		if quasaq {
-			m := core.NewManager(cluster, core.LRB{})
 			req := qos.Requirement{MinResolution: qos.ResDVD, MinFrameRate: 23}
 			var d *core.Delivery
-			d, err = m.Service("srv-a", measuredVideoID, req, core.ServiceOptions{TraceFrames: cfg.Frames + 1})
+			d, err = w.Manager.Service("srv-a", measuredVideoID, req, core.ServiceOptions{TraceFrames: cfg.Frames + 1})
 			if err == nil {
 				measured = d.Session
 			}

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/media"
 	"quasaq/internal/qos"
-	"quasaq/internal/replication"
 	"quasaq/internal/simtime"
 	"quasaq/internal/transport"
 	"quasaq/internal/workload"
@@ -64,15 +64,14 @@ func RunOverhead(seed int64, queries int) (*OverheadResult, error) {
 	// workload is run twice with the same request sequence: the first
 	// pass fills the candidate cache (cold), the second replays against
 	// it (warm) — the cost split the staged plan pipeline buys.
-	sim := simtime.NewSimulator()
-	cluster := core.TestbedCluster(sim)
 	corpus := media.StandardCorpus(uint64(seed))
-	if _, err := cluster.LoadCorpus(corpus, replication.DefaultPolicy()); err != nil {
+	w, err := deploy.Open(deploy.Config{Videos: corpus})
+	if err != nil {
 		return nil, err
 	}
-	mgr := core.NewManager(cluster, core.LRB{})
+	mgr := w.Manager
 	pass := func() time.Duration {
-		gen := workload.New(workload.Config{Seed: seed, Videos: corpus, Sites: cluster.Sites()})
+		gen := workload.New(workload.Config{Seed: seed, Videos: corpus, Sites: w.Cluster.Sites()})
 		begin := time.Now()
 		for i := 0; i < queries; i++ {
 			r := gen.Next()
@@ -92,22 +91,20 @@ func RunOverhead(seed int64, queries int) (*OverheadResult, error) {
 
 	// (b) Scheduler overhead: stream under the paper's measured 0.16 ms
 	// dispatch cost and account the bookkeeping share of the busy CPU.
-	sim2 := simtime.NewSimulator()
-	cluster2 := core.TestbedCluster(sim2)
-	if _, err := cluster2.LoadCorpus(corpus, replication.DefaultPolicy()); err != nil {
+	w2, err := deploy.Open(deploy.Config{Videos: corpus})
+	if err != nil {
 		return nil, err
 	}
-	node := cluster2.Nodes["srv-a"]
+	node := w2.Cluster.Nodes["srv-a"]
 	node.CPU().DispatchOverhead = 160 * time.Microsecond
-	mgr2 := core.NewManager(cluster2, core.LRB{})
 	req := qos.Requirement{MinResolution: qos.ResDVD, MinFrameRate: 23}
 	for i := 0; i < 4; i++ {
-		if _, err := mgr2.Service("srv-a", media.VideoID(7), req, core.ServiceOptions{}); err != nil {
+		if _, err := w2.Manager.Service("srv-a", media.VideoID(7), req, core.ServiceOptions{}); err != nil {
 			return nil, err
 		}
 	}
 	horizon := simtime.Seconds(60)
-	sim2.RunUntil(horizon)
+	w2.Sim.RunUntil(horizon)
 	dispatches := node.CPU().Dispatches()
 	overheadTime := simtime.Time(dispatches) * 160 * time.Microsecond
 

@@ -7,10 +7,10 @@ import (
 
 	"quasaq/internal/broker"
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/faults"
 	"quasaq/internal/guardian"
 	"quasaq/internal/media"
-	"quasaq/internal/replication"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 	"quasaq/internal/stats"
@@ -143,46 +143,22 @@ func RunOverloadPoint(cfg OverloadConfig, variant string, seed int64) (*Overload
 		return nil, err
 	}
 
-	sim := simtime.NewSimulator()
-	cluster := core.TestbedCluster(sim)
 	corpus := media.StandardCorpus(uint64(seed))
-	if _, err := cluster.LoadCorpus(corpus, replication.DefaultPolicy()); err != nil {
-		return nil, err
-	}
-	ctrl := cfg.Ctrl
-	ctrl.Seed = seed
-	if guarded {
-		ctrl.Breaker = cfg.Breaker
-		ctrl.RetryBudget = cfg.RetryBudget
-	}
-	if err := cluster.ConfigureControl(ctrl); err != nil {
-		return nil, err
-	}
-
-	mgr := core.NewManager(cluster, core.LRB{})
 	pol := core.DefaultFailoverPolicy()
 	pol.BestEffortFallback = true
-	if err := mgr.EnableFailover(pol); err != nil {
+	dc := deploy.Config{Videos: corpus, Control: cfg.Ctrl, Failover: &pol}
+	dc.Control.Seed = seed
+	if guarded {
+		dc.Control.Breaker = cfg.Breaker
+		dc.Control.RetryBudget = cfg.RetryBudget
+		dc.AdmissionQueue = &cfg.Queue
+		dc.Guardian = &cfg.Guardian
+	}
+	w, err := deploy.Open(dc)
+	if err != nil {
 		return nil, err
 	}
-
-	var guard *guardian.Guardian
-	if guarded {
-		if err := mgr.ConfigureAdmissionQueue(cfg.Queue); err != nil {
-			return nil, err
-		}
-		g, err := guardian.New(mgr, cfg.Guardian)
-		if err != nil {
-			return nil, err
-		}
-		guard = g
-	}
-
-	in := faults.NewInjector(sim)
-	for _, site := range cluster.Sites() {
-		in.RegisterNode(cluster.Nodes[site])
-	}
-	if err := in.Apply(cfg.Schedule); err != nil {
+	if _, err := w.InjectFaults(cfg.Schedule); err != nil {
 		return nil, err
 	}
 
@@ -190,11 +166,11 @@ func RunOverloadPoint(cfg OverloadConfig, variant string, seed int64) (*Overload
 	gen := workload.New(workload.Config{
 		Seed:             seed,
 		Videos:           corpus,
-		Sites:            cluster.Sites(),
+		Sites:            w.Cluster.Sites(),
 		MeanInterArrival: simtime.Seconds(1 / cfg.BaseLoad),
 		Phases:           cfg.Phases,
 	})
-	if err := out.serveAll("overload", sim, mgr, gen, cfg.Horizon(), serveHooks{
+	if err := out.serveAll("overload", w, gen, cfg.Horizon(), serveHooks{
 		verdict: func(_ *core.Delivery, err error, wait simtime.Time) {
 			out.Latency.Add(1000 * simtime.ToSeconds(wait))
 			if errors.Is(err, core.ErrAdmissionDeadline) {
@@ -212,14 +188,14 @@ func RunOverloadPoint(cfg OverloadConfig, variant string, seed int64) (*Overload
 	}); err != nil {
 		return nil, err
 	}
-	if guard != nil {
-		out.Guardian = guard.Stats()
+	if w.Guardian != nil {
+		out.Guardian = w.Guardian.Stats()
 	}
-	reg := mgr.Registry()
+	reg := w.Manager.Registry()
 	out.BreakerOpens = reg.Counter("quasaq_ctrl_breaker_opens_total").Value()
 	out.BreakerFastFails = reg.Counter("quasaq_ctrl_breaker_fastfails_total").Value()
 	out.RetriesSuppressed = reg.Counter("quasaq_ctrl_retries_suppressed_total").Value()
-	out.BreakerOpenSeconds = simtime.ToSeconds(cluster.Ctrl.BreakerOpenTime())
+	out.BreakerOpenSeconds = simtime.ToSeconds(w.Cluster.Ctrl.BreakerOpenTime())
 	return out, nil
 }
 

@@ -7,11 +7,11 @@ import (
 
 	"quasaq/internal/broker"
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/faults"
 	"quasaq/internal/guardian"
 	"quasaq/internal/media"
 	"quasaq/internal/qos"
-	"quasaq/internal/replication"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 	"quasaq/internal/stats"
@@ -144,33 +144,16 @@ func RunSLAPoint(cfg SLAConfig, tierName string, seed int64) (*SLAPoint, error) 
 	}
 	clause := parsed.Net
 
-	sim := simtime.NewSimulator()
-	cluster := core.TestbedCluster(sim)
 	corpus := media.StandardCorpus(uint64(seed))
-	if _, err := cluster.LoadCorpus(corpus, replication.DefaultPolicy()); err != nil {
-		return nil, err
-	}
-	ctrl := cfg.Ctrl
-	ctrl.Seed = seed
-	if err := cluster.ConfigureControl(ctrl); err != nil {
-		return nil, err
-	}
-	mgr := core.NewManager(cluster, core.LRB{})
 	pol := core.DefaultFailoverPolicy()
 	pol.BestEffortFallback = true
-	if err := mgr.EnableFailover(pol); err != nil {
-		return nil, err
-	}
-	guard, err := guardian.New(mgr, cfg.Guardian)
+	dc := deploy.Config{Videos: corpus, Control: cfg.Ctrl, Failover: &pol, Guardian: &cfg.Guardian}
+	dc.Control.Seed = seed
+	w, err := deploy.Open(dc)
 	if err != nil {
 		return nil, err
 	}
-
-	in := faults.NewInjector(sim)
-	for _, site := range cluster.Sites() {
-		in.RegisterNode(cluster.Nodes[site])
-	}
-	if err := in.Apply(cfg.Schedule); err != nil {
+	if _, err := w.InjectFaults(cfg.Schedule); err != nil {
 		return nil, err
 	}
 
@@ -183,11 +166,11 @@ func RunSLAPoint(cfg SLAConfig, tierName string, seed int64) (*SLAPoint, error) 
 	gen := workload.New(workload.Config{
 		Seed:             seed,
 		Videos:           corpus,
-		Sites:            cluster.Sites(),
+		Sites:            w.Cluster.Sites(),
 		MeanInterArrival: simtime.Seconds(1 / cfg.BaseLoad),
 		Phases:           cfg.Phases,
 	})
-	if err := out.serveAll("SLA", sim, mgr, gen, cfg.Horizon(), serveHooks{
+	if err := out.serveAll("SLA", w, gen, cfg.Horizon(), serveHooks{
 		arrive: func(r workload.Request) qos.Requirement { return r.Req.WithNet(clause...) },
 		verdict: func(_ *core.Delivery, err error, _ simtime.Time) {
 			if errors.Is(err, core.ErrQoSUnsatisfiable) {
@@ -202,8 +185,8 @@ func RunSLAPoint(cfg SLAConfig, tierName string, seed int64) (*SLAPoint, error) 
 	}); err != nil {
 		return nil, err
 	}
-	out.Guardian = guard.Stats()
-	if err := out.readQoE(cluster.Engine); err != nil {
+	out.Guardian = w.Guardian.Stats()
+	if err := out.readQoE(w.Cluster.Engine); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/media"
-	"quasaq/internal/replication"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 	"quasaq/internal/stats"
@@ -128,16 +128,28 @@ func (s *Series) SteadyOutstanding() float64 {
 
 // RunThroughput runs one system against the paper's workload.
 func RunThroughput(sys SystemKind, cfg ThroughputConfig) (*Series, error) {
-	sim := simtime.NewSimulator()
-	cluster := core.TestbedCluster(sim)
+	out, _, err := runThroughput(sys, cfg, nil, nil)
+	return out, err
+}
+
+// runThroughput is RunThroughput in a world whose online replicator dyn
+// configures (nil = off); onAdmit, when set, sees each admission's time.
+func runThroughput(sys SystemKind, cfg ThroughputConfig, dyn *deploy.DynamicReplication, onAdmit func(simtime.Time)) (*Series, *deploy.World, error) {
+	var model core.CostModel
+	switch sys {
+	case SysQuaSAQRandom:
+		model = core.NewRandom(simtime.NewRand(cfg.Seed + 1000))
+	case SysQuaSAQMinSum:
+		model = core.MinSum{}
+	case SysQuaSAQStatic:
+		model = core.StaticCheapest{}
+	}
 	corpus := media.StandardCorpus(uint64(cfg.Seed))
-	pol := replication.DefaultPolicy()
-	if cfg.SingleCopy {
-		pol = replication.SingleCopyPolicy()
+	w, err := deploy.Open(deploy.Config{SingleCopyReplication: cfg.SingleCopy, Videos: corpus, Model: model, Dynamic: dyn})
+	if err != nil {
+		return nil, nil, err
 	}
-	if _, err := cluster.LoadCorpus(corpus, pol); err != nil {
-		return nil, err
-	}
+	sim, cluster := w.Sim, w.Cluster
 
 	out := &Series{System: sys, Bucket: cfg.Bucket}
 	succeeded := stats.NewTimeSeries(cfg.Bucket)
@@ -166,20 +178,8 @@ func RunThroughput(sys SystemKind, cfg ThroughputConfig) (*Series, error) {
 			return err
 		}
 	default:
-		var model core.CostModel
-		switch sys {
-		case SysQuaSAQRandom:
-			model = core.NewRandom(simtime.NewRand(cfg.Seed + 1000))
-		case SysQuaSAQMinSum:
-			model = core.MinSum{}
-		case SysQuaSAQStatic:
-			model = core.StaticCheapest{}
-		default:
-			model = core.LRB{}
-		}
-		mgr := core.NewManager(cluster, model)
 		serve = func(site string, id media.VideoID, req workload.Request) error {
-			_, err := mgr.Service(site, id, req.Req, core.ServiceOptions{
+			_, err := w.Manager.Service(site, id, req.Req, core.ServiceOptions{
 				OnDone: func(d *core.Delivery) { onSessionDone(d.Session) },
 			})
 			return err
@@ -189,11 +189,15 @@ func RunThroughput(sys SystemKind, cfg ThroughputConfig) (*Series, error) {
 	gen := paperWorkload(cfg.Seed, cluster, corpus)
 	gen.Drive(sim, cfg.Horizon, func(r workload.Request) {
 		out.Queries++
+		w.Observe(r.Site, r.Video, r.Req)
 		if err := serve(r.Site, r.Video, r); err != nil {
 			out.Rejected++
 			rejects.Observe(sim.Now(), 1)
 		} else {
 			out.Admitted++
+			if onAdmit != nil {
+				onAdmit(sim.Now())
+			}
 		}
 	})
 
@@ -217,7 +221,7 @@ func RunThroughput(sys SystemKind, cfg ThroughputConfig) (*Series, error) {
 		cum += rejects.Sum(i)
 		out.CumRejects = append(out.CumRejects, cum)
 	}
-	return out, nil
+	return out, w, nil
 }
 
 // ThroughputVariant is one point of a throughput sweep: a delivery system

@@ -5,8 +5,8 @@ import (
 	"strings"
 
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/media"
-	"quasaq/internal/replication"
 	"quasaq/internal/runner"
 	"quasaq/internal/simtime"
 	"quasaq/internal/stats"
@@ -148,30 +148,22 @@ func RunTranscodePoint(cfg TranscodeConfig, key string, seed int64) (*TranscodeP
 		return nil, fmt.Errorf("experiments: non-positive horizon %v", cfg.Horizon)
 	}
 
-	sim := simtime.NewSimulator()
-	cluster := core.TestbedCluster(sim)
 	corpus := media.StandardCorpus(uint64(seed))
 	// Single-copy storage: only the original quality exists, so delivering
 	// any lower tier forces an online transcode — the farm's workload.
-	if _, err := cluster.LoadCorpus(corpus, replication.SingleCopyPolicy()); err != nil {
+	w, err := deploy.Open(deploy.Config{SingleCopyReplication: true, Videos: corpus, Farm: v.Farm})
+	if err != nil {
 		return nil, err
-	}
-
-	mgr := core.NewManager(cluster, core.LRB{})
-	if v.Farm != nil {
-		if _, err := mgr.EnableFarm(*v.Farm); err != nil {
-			return nil, err
-		}
 	}
 
 	out := &TranscodePoint{Variant: key, Startup: &stats.Sample{}}
 	gen := workload.New(workload.Config{
 		Seed:             seed,
 		Videos:           corpus,
-		Sites:            cluster.Sites(),
+		Sites:            w.Cluster.Sites(),
 		MeanInterArrival: simtime.Seconds(1 / cfg.BaseLoad),
 	})
-	if err := out.serveAll("transcode", sim, mgr, gen, cfg.Horizon, serveHooks{
+	if err := out.serveAll("transcode", w, gen, cfg.Horizon, serveHooks{
 		done: func(d *core.Delivery) {
 			if d.Session.FarmRouted() {
 				out.FarmRouted++
@@ -181,7 +173,7 @@ func RunTranscodePoint(cfg TranscodeConfig, key string, seed int64) (*TranscodeP
 	}); err != nil {
 		return nil, err
 	}
-	if f := mgr.Farm(); f != nil {
+	if f := w.Manager.Farm(); f != nil {
 		out.Farm = f.Stats()
 		if out.Farm.QueueDepth != 0 {
 			return nil, fmt.Errorf("experiments: %d transcode jobs still queued after drain", out.Farm.QueueDepth)

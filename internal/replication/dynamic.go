@@ -35,7 +35,16 @@ type Dynamic struct {
 	inflight map[demandKey]bool
 
 	created int
-	ticker  *simtime.Ticker
+
+	// Rebalance ticks fire on the grid start+k·interval. A tick that finds
+	// the demand window empty parks (next == nil) and the next Observe or
+	// Boost re-arms it at the following grid instant, so an idle replicator
+	// leaves the event queue empty and a drain can finish.
+	running  bool
+	interval simtime.Time
+	batch    int
+	lastTick simtime.Time
+	next     *simtime.Event
 }
 
 // ReplicationRate caps the bandwidth one replica transfer consumes, so
@@ -83,6 +92,7 @@ func (d *Dynamic) Observe(id media.VideoID, req qos.Requirement) {
 		return
 	}
 	d.demand[demandKey{id, tier}]++
+	d.arm()
 }
 
 // Boost injects n units of demand for the video at an exact ladder tier.
@@ -95,6 +105,7 @@ func (d *Dynamic) Boost(id media.VideoID, tier media.LinkClass, n int) {
 		return
 	}
 	d.demand[demandKey{id, tier}] += n
+	d.arm()
 }
 
 // cheapestSatisfyingTier scans the ladder bottom-up for the first tier
@@ -109,26 +120,50 @@ func cheapestSatisfyingTier(v *media.Video, req qos.Requirement) (media.LinkClas
 }
 
 // Start schedules a rebalance every interval, creating at most batch new
-// replicas per round.
+// replicas per round; rounds with no demand are skipped.
 func (d *Dynamic) Start(interval simtime.Time, batch int) {
-	if d.ticker != nil {
+	if d.running {
 		return
+	}
+	if interval <= 0 {
+		panic(fmt.Sprintf("replication: non-positive rebalance interval %v", interval))
 	}
 	if batch <= 0 {
 		batch = 1
 	}
-	d.ticker = d.sim.Every(interval, func() bool {
-		d.Rebalance(batch)
-		return true
-	})
+	d.running, d.interval, d.batch, d.lastTick = true, interval, batch, d.sim.Now()
+	d.arm()
+}
+
+// arm schedules the next tick at the first grid instant after the last
+// tick that has not passed yet, unless one is pending or the replicator is
+// stopped.
+func (d *Dynamic) arm() {
+	if !d.running || d.next != nil {
+		return
+	}
+	at := d.lastTick + d.interval
+	if now := d.sim.Now(); at < now {
+		at += (now - at + d.interval - 1) / d.interval * d.interval
+	}
+	d.next = d.sim.ScheduleAt(at, d.tick)
+}
+
+func (d *Dynamic) tick() {
+	d.next = nil
+	d.lastTick = d.sim.Now()
+	if len(d.demand) == 0 {
+		return
+	}
+	d.Rebalance(d.batch)
+	d.arm()
 }
 
 // Stop halts periodic rebalancing.
 func (d *Dynamic) Stop() {
-	if d.ticker != nil {
-		d.ticker.Stop()
-		d.ticker = nil
-	}
+	d.running = false
+	d.sim.Cancel(d.next)
+	d.next = nil
 }
 
 // Created returns the number of replicas materialized so far.

@@ -181,6 +181,25 @@ func TestDynamicTicker(t *testing.T) {
 	}
 }
 
+// An idle replicator parks its ticker, so a drain returns; new demand
+// re-arms it on the original tick grid.
+func TestDynamicTickerParksWhenIdle(t *testing.T) {
+	sim, _, _, videos, dyn := dynFixture(t, 0)
+	dyn.Start(10*time.Second, 1)
+	sim.Schedule(time.Second, func() { dyn.Observe(videos[2].ID, vcdReq()) })
+	sim.Run()
+	// The 10 s tick rebalances; the 20 s tick finds no demand and parks.
+	if sim.Now() != 20*time.Second || dyn.Created() != 1 {
+		t.Fatalf("first drain ended at %v with %d replicas; want 20s and 1", sim.Now(), dyn.Created())
+	}
+	sim.Schedule(13*time.Second, func() { dyn.Observe(videos[3].ID, vcdReq()) })
+	sim.Run()
+	// Demand at 33 s re-arms the 40 s grid tick; the 50 s tick parks again.
+	if sim.Now() != 50*time.Second || dyn.Created() != 2 {
+		t.Fatalf("second drain ended at %v with %d replicas; want 50s and 2", sim.Now(), dyn.Created())
+	}
+}
+
 func TestMaterializeOverLinksTakesTime(t *testing.T) {
 	sim, dir, ss, videos, dyn := func() (*simtime.Simulator, *metadata.Directory, []Site, []*media.Video, *Dynamic) {
 		sim := simtime.NewSimulator()

@@ -119,6 +119,16 @@ func (cfg FarmConfig) normalize() (FarmConfig, error) {
 	if as.Interval < 0 {
 		return cfg, fmt.Errorf("transcode: negative autoscale interval %v", as.Interval)
 	}
+	// Without a standing worker or an autoscaler to launch one, the fleet
+	// would advertise capacity it never brings up: admitted jobs would queue
+	// forever.
+	standing := 0
+	for _, c := range cfg.Classes {
+		standing += c.MinWorkers
+	}
+	if standing == 0 && as.Interval == 0 {
+		return cfg, fmt.Errorf("transcode: no class has MinWorkers > 0 and autoscaling is off")
+	}
 	if as.QueueHigh <= 0 {
 		as.QueueHigh = 2
 	}
@@ -129,6 +139,12 @@ func (cfg FarmConfig) normalize() (FarmConfig, error) {
 		as.Step = 1
 	}
 	return cfg, nil
+}
+
+// Validate reports whether NewFarm would accept the config.
+func (cfg FarmConfig) Validate() error {
+	_, err := cfg.normalize()
+	return err
 }
 
 // Neutral reports whether the config is timing- and accounting-neutral:

@@ -201,6 +201,7 @@ func TestConfigValidation(t *testing.T) {
 		{Classes: []WorkerClass{{Name: "a", DollarsPerHour: -1}}},
 		{Classes: []WorkerClass{{Name: "a", MinWorkers: 5, MaxWorkers: 2}}},
 		{Autoscale: AutoscaleConfig{Interval: -1}},
+		{Classes: []WorkerClass{{Name: "a", Speed: 1, MaxWorkers: 4}, {Name: "b", MaxWorkers: 2}}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewFarm(sim, cfg, nil); err == nil {

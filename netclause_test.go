@@ -35,10 +35,7 @@ func TestQueryWithNetworkTermsInClause(t *testing.T) {
 }
 
 func TestQoEQuerySurface(t *testing.T) {
-	db := openLoaded(t, Options{})
-	if err := db.EnableGuardian(GuardianConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	db := openLoaded(t, Options{Guardian: &GuardianConfig{}})
 	recs, err := db.QoEQuery("SELECT * FROM qoe WHERE metric = 'loss'")
 	if err != nil {
 		t.Fatal(err)

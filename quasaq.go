@@ -24,6 +24,7 @@ import (
 
 	"quasaq/internal/broker"
 	"quasaq/internal/core"
+	"quasaq/internal/deploy"
 	"quasaq/internal/edgecache"
 	"quasaq/internal/faults"
 	"quasaq/internal/gara"
@@ -33,7 +34,6 @@ import (
 	"quasaq/internal/obs"
 	"quasaq/internal/qop"
 	"quasaq/internal/qos"
-	"quasaq/internal/replication"
 	"quasaq/internal/simtime"
 	"quasaq/internal/transcode"
 	"quasaq/internal/transport"
@@ -268,110 +268,83 @@ func NewRandomModel(seed int64) CostModel {
 	return core.NewRandom(simtime.NewRand(seed))
 }
 
-// Options configures Open.
-type Options struct {
-	// Sites lists server names; default is the paper's three servers.
-	Sites []string
-	// Capacity is the per-server capacity; default matches the testbed
-	// (3200 KB/s outbound, one CPU).
-	Capacity NodeCapacity
-	// Model is the plan cost model; default LRB.
-	Model CostModel
-	// SingleCopyReplication disables the quality ladder (ablation).
-	SingleCopyReplication bool
-	// Control configures the distributed control plane. The zero value is
-	// the synchronous path: reservations conclude inside Deliver, exactly
-	// as when they were direct calls. Non-zero latency or loss turns
-	// cross-site admission into message-passing two-phase reservations;
-	// synchronous entry points then return ErrAsyncControl — use
-	// DeliverAsync.
-	Control ControlPlaneConfig
-}
+// Options configures Open: the origin sites, the corpus, the control plane
+// and every optional tier, validated together before anything is built. A
+// nil tier field leaves the tier off.
+type Options = deploy.Config
+
+// EdgeTier configures Options.Edge: the edge proxy-cache sites and the
+// prefix-cache policy they share.
+type EdgeTier = deploy.EdgeTier
+
+// DynamicReplication configures Options.Dynamic: the online replicator
+// materializes up to Batch of the hottest missing replica tiers every
+// Interval, driven by the demand Deliver and Query observe.
+type DynamicReplication = deploy.DynamicReplication
 
 // DB is a QoS-aware multimedia database instance on a virtual clock.
 type DB struct {
-	sim      *simtime.Simulator
-	cluster  *core.Cluster
-	manager  *core.Manager
-	policy   replication.Policy
-	dynamic  *replication.Dynamic
-	guardian *guardian.Guardian
+	w *deploy.World
 }
 
-// Open creates an empty database.
+// Open validates opts and builds the database: the sites, the control
+// plane, the ingested corpus, the quality manager and each configured tier.
+// An invalid setting is reported naming its Options field, before anything
+// is built.
 func Open(opts Options) (*DB, error) {
-	if len(opts.Sites) == 0 {
-		opts.Sites = []string{"srv-a", "srv-b", "srv-c"}
-	}
-	if opts.Capacity == (NodeCapacity{}) {
-		opts.Capacity = gara.DefaultCapacity()
-	}
-	if opts.Model == nil {
-		opts.Model = core.LRB{}
-	}
-	sim := simtime.NewSimulator()
-	cluster, err := core.NewCluster(sim, opts.Sites, opts.Capacity)
+	w, err := deploy.Open(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := cluster.ConfigureControl(opts.Control); err != nil {
-		return nil, err
-	}
-	pol := replication.DefaultPolicy()
-	if opts.SingleCopyReplication {
-		pol = replication.SingleCopyPolicy()
-	}
-	return &DB{
-		sim:     sim,
-		cluster: cluster,
-		manager: core.NewManager(cluster, opts.Model),
-		policy:  pol,
-	}, nil
+	return &DB{w: w}, nil
 }
 
-// AddVideos ingests videos: catalog insertion, content-metadata
-// extraction, offline replication across sites, and QoS-profile sampling
-// (the offline components of §3.1). It returns the bytes stored.
-func (db *DB) AddVideos(videos []*Video) (int64, error) {
-	return db.cluster.LoadCorpus(videos, db.policy)
-}
+// StoredBytes reports the bytes offline replication stored for the corpus
+// at open.
+func (db *DB) StoredBytes() int64 { return db.w.Stored }
 
 // Sites returns the server names.
-func (db *DB) Sites() []string { return db.cluster.Sites() }
+func (db *DB) Sites() []string { return db.w.Cluster.Sites() }
 
 // Videos returns the catalog.
-func (db *DB) Videos() []*Video { return db.cluster.Engine.All() }
+func (db *DB) Videos() []*Video { return db.w.Cluster.Engine.All() }
 
 // Video resolves a logical OID.
-func (db *DB) Video(id VideoID) (*Video, error) { return db.cluster.Engine.Video(id) }
+func (db *DB) Video(id VideoID) (*Video, error) { return db.w.Cluster.Engine.Video(id) }
 
 // Now returns the current virtual time.
-func (db *DB) Now() Time { return db.sim.Now() }
+func (db *DB) Now() Time { return db.w.Sim.Now() }
 
 // Advance runs the virtual clock forward by d, progressing every session.
-func (db *DB) Advance(d Time) { db.sim.RunUntil(db.sim.Now() + d) }
+func (db *DB) Advance(d Time) { db.w.Sim.RunUntil(db.w.Sim.Now() + d) }
 
 // RunUntilIdle drains all pending work (every active session to
 // completion).
-func (db *DB) RunUntilIdle() { db.sim.Run() }
+func (db *DB) RunUntilIdle() { db.w.Sim.Run() }
 
 // Search runs the content phase only: parse and evaluate the query,
 // returning matching videos (with similarity distances for SIMILAR TO).
 func (db *DB) Search(sql string) ([]SearchResult, error) {
-	res, _, err := db.cluster.Engine.ExecuteSQL(sql)
+	res, _, err := db.w.Cluster.Engine.ExecuteSQL(sql)
 	return res, err
 }
 
 // Explain reports the access path and pipeline a query would use, without
 // executing it.
 func (db *DB) Explain(sql string) (string, error) {
-	return db.cluster.Engine.Explain(sql)
+	return db.w.Cluster.Engine.Explain(sql)
 }
 
 // Deliver runs the QoS phase for one video: plan, admit, reserve, stream.
 func (db *DB) Deliver(site string, id VideoID, req Requirement) (*Delivery, error) {
-	db.observe(site, id, req)
-	return db.manager.Service(site, id, req, core.ServiceOptions{})
+	return db.service(site, id, req, core.ServiceOptions{})
+}
+
+// service is the synchronous QoS phase behind every Deliver variant and
+// Query: the request's demand is observed first, then it is admitted.
+func (db *DB) service(site string, id VideoID, req Requirement, opts core.ServiceOptions) (*Delivery, error) {
+	db.w.Observe(site, id, req)
+	return db.w.Manager.Service(site, id, req, opts)
 }
 
 // DeliverAsync runs the QoS phase with the admission decision delivered
@@ -379,21 +352,14 @@ func (db *DB) Deliver(site string, id VideoID, req Requirement) (*Delivery, erro
 // reservations take (move the clock with Advance/RunUntilIdle). Under the
 // default synchronous control plane done fires before DeliverAsync returns.
 func (db *DB) DeliverAsync(site string, id VideoID, req Requirement, done func(*Delivery, error)) {
-	db.observe(site, id, req)
-	db.manager.ServiceAsync(site, id, req, core.ServiceOptions{}, done)
-}
-
-// ConfigureControl swaps the control plane's parameters at runtime; the
-// zero config restores the synchronous direct-call path.
-func (db *DB) ConfigureControl(cfg ControlPlaneConfig) error {
-	return db.cluster.ConfigureControl(cfg)
+	db.w.Observe(site, id, req)
+	db.w.Manager.ServiceAsync(site, id, req, core.ServiceOptions{}, done)
 }
 
 // DeliverTraced is Deliver with a per-frame completion trace of up to n
 // frames (for QoS analysis).
 func (db *DB) DeliverTraced(site string, id VideoID, req Requirement, n int) (*Delivery, error) {
-	db.observe(site, id, req)
-	return db.manager.Service(site, id, req, core.ServiceOptions{TraceFrames: n})
+	return db.service(site, id, req, core.ServiceOptions{TraceFrames: n})
 }
 
 // DeliverToClient is Deliver with a modeled server-to-client network path
@@ -401,57 +367,21 @@ func (db *DB) DeliverTraced(site string, id VideoID, req Requirement, n int) (*D
 // client-side inter-frame delays and path loss. Pass n > 0 to also keep a
 // server-side frame trace.
 func (db *DB) DeliverToClient(site string, id VideoID, req Requirement, n int) (*Delivery, error) {
-	db.observe(site, id, req)
 	path := netsim.DefaultCampusPath()
-	return db.manager.Service(site, id, req, core.ServiceOptions{
+	return db.service(site, id, req, core.ServiceOptions{
 		TraceFrames: n,
 		Path:        &path,
 		PathSeed:    int64(id)*7919 + 17,
 	})
 }
 
-func (db *DB) observe(site string, id VideoID, req Requirement) {
-	if db.dynamic != nil {
-		db.dynamic.Observe(id, req)
-	}
-	if ec := db.manager.EdgeCache(); ec != nil {
-		ec.Observe(site, id)
-	}
-}
-
-// EnableDynamicReplication starts the online replication manager (§2 item
-// 1): demand observed through Deliver/Query drives periodic materialization
-// of the hottest missing replica tiers, up to batch new replicas every
-// interval. Call after AddVideos.
-func (db *DB) EnableDynamicReplication(interval Time, batch int) {
-	if db.dynamic != nil {
-		return
-	}
-	sites := make([]replication.Site, 0, len(db.Sites()))
-	for _, s := range db.Sites() {
-		sites = append(sites, replication.Site{Name: s, Blobs: db.cluster.Blobs[s]})
-	}
-	db.dynamic = replication.NewDynamic(db.sim, db.cluster.Dir, db.Videos(), sites)
-	links := map[string]*netsim.Link{}
-	for name, node := range db.cluster.Nodes {
-		links[name] = node.Link()
-	}
-	db.dynamic.SetLinks(links)
-	db.dynamic.Start(interval, batch)
-	// With an edge tier attached, sustained edge popularity that outgrows a
-	// site's cache budget is handed to the replicator as extra demand.
-	if ec := db.manager.EdgeCache(); ec != nil {
-		ec.SetPromote(db.dynamic.Boost)
-	}
-}
-
 // DynamicReplicasCreated reports how many replicas the online replicator
 // has materialized (zero when disabled).
 func (db *DB) DynamicReplicasCreated() int {
-	if db.dynamic == nil {
+	if db.w.Dynamic == nil {
 		return 0
 	}
-	return db.dynamic.Created()
+	return db.w.Dynamic.Created()
 }
 
 // QueryResult is the outcome of a full two-phase query.
@@ -466,7 +396,7 @@ type QueryResult struct {
 // Query runs both phases: content search, then QoS-constrained delivery of
 // the first match when the query carries a WITH QOS clause.
 func (db *DB) Query(site string, sql string) (*QueryResult, error) {
-	res, q, err := db.cluster.Engine.ExecuteSQL(sql)
+	res, q, err := db.w.Cluster.Engine.ExecuteSQL(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -474,8 +404,7 @@ func (db *DB) Query(site string, sql string) (*QueryResult, error) {
 	if !q.HasQoS || len(res) == 0 {
 		return out, nil
 	}
-	db.observe(site, res[0].Video.ID, q.QoS)
-	d, err := db.manager.Service(site, res[0].Video.ID, q.QoS, core.ServiceOptions{})
+	d, err := db.service(site, res[0].Video.ID, q.QoS, core.ServiceOptions{})
 	if err != nil {
 		return out, err
 	}
@@ -527,21 +456,14 @@ var (
 // bounded exponential backoff, re-exported from the quality manager.
 var DefaultFailoverPolicy = core.DefaultFailoverPolicy
 
-// EnableFailover turns on failure detection and mid-stream recovery: when
-// a fault kills an admitted session, the quality manager re-plans on the
-// surviving sites and resumes the stream from the last delivered position,
-// degrading to best-effort or rejecting with ErrNoViablePlan per policy.
-// A policy with a negative field is refused with an error.
-func (db *DB) EnableFailover(p FailoverPolicy) error { return db.manager.EnableFailover(p) }
-
 // OnFailover registers fn to observe every concluded recovery (success,
 // best-effort downgrade, or abandonment).
-func (db *DB) OnFailover(fn func(FailoverEvent)) { db.manager.SetFailoverObserver(fn) }
+func (db *DB) OnFailover(fn func(FailoverEvent)) { db.w.Manager.SetFailoverObserver(fn) }
 
 // CrashSite fails a server: all its leases are revoked, its sessions die,
 // and its link partitions. Idempotent.
 func (db *DB) CrashSite(site string) error {
-	n, err := db.cluster.Node(site)
+	n, err := db.w.Cluster.Node(site)
 	if err != nil {
 		return err
 	}
@@ -551,7 +473,7 @@ func (db *DB) CrashSite(site string) error {
 
 // RestoreSite brings a crashed server (and its link) back. Idempotent.
 func (db *DB) RestoreSite(site string) error {
-	n, err := db.cluster.Node(site)
+	n, err := db.w.Cluster.Node(site)
 	if err != nil {
 		return err
 	}
@@ -561,7 +483,7 @@ func (db *DB) RestoreSite(site string) error {
 
 // SiteDown reports whether a server is crashed.
 func (db *DB) SiteDown(site string) bool {
-	n, err := db.cluster.Node(site)
+	n, err := db.w.Cluster.Node(site)
 	return err == nil && n.Down()
 }
 
@@ -569,7 +491,7 @@ func (db *DB) SiteDown(site string) bool {
 // configured capacity, revoking newest-first any reservations that no
 // longer fit.
 func (db *DB) DegradeLink(site string, factor float64) error {
-	n, err := db.cluster.Node(site)
+	n, err := db.w.Cluster.Node(site)
 	if err != nil {
 		return err
 	}
@@ -579,7 +501,7 @@ func (db *DB) DegradeLink(site string, factor float64) error {
 
 // RestoreLink returns a site's outbound link to full configured capacity.
 func (db *DB) RestoreLink(site string) error {
-	n, err := db.cluster.Node(site)
+	n, err := db.w.Cluster.Node(site)
 	if err != nil {
 		return err
 	}
@@ -590,11 +512,8 @@ func (db *DB) RestoreLink(site string) error {
 // InjectFaults arms a fault schedule against the database's sites on the
 // virtual clock; the faults fire as Advance/RunUntilIdle move time.
 func (db *DB) InjectFaults(s FaultSchedule) error {
-	in := faults.NewInjector(db.sim)
-	for _, site := range db.Sites() {
-		in.RegisterNode(db.cluster.Nodes[site])
-	}
-	return in.Apply(s)
+	_, err := db.w.InjectFaults(s)
+	return err
 }
 
 // ParseFaultSchedule reads the fault-schedule text format (see the
@@ -631,7 +550,7 @@ func (db *DB) DeliverQoP(site string, prof *Profile, q QoP, id VideoID, maxAlter
 // control plane and returns ErrAsyncControl otherwise — use
 // RenegotiateAsync.
 func (db *DB) Renegotiate(d *Delivery, req Requirement) (*Delivery, error) {
-	return db.manager.Renegotiate(d, req, core.ServiceOptions{})
+	return db.w.Manager.Renegotiate(d, req, core.ServiceOptions{})
 }
 
 // RenegotiateAsync is Renegotiate in continuation-passing form: done fires
@@ -639,47 +558,27 @@ func (db *DB) Renegotiate(d *Delivery, req Requirement) (*Delivery, error) {
 // alongside the upgrade error, or nil when both failed), after however many
 // control-plane round trips the reservations take.
 func (db *DB) RenegotiateAsync(d *Delivery, req Requirement, done func(*Delivery, error)) {
-	db.manager.RenegotiateAsync(d, req, core.ServiceOptions{}, done)
-}
-
-// EnableGuardian starts the runtime QoS guardian: every delivery admitted
-// from now on is sampled against its admitted requirement on the virtual
-// clock — the query's own WITH QOS network terms when present, the config's
-// relative thresholds otherwise — and sustained violations walk the graceful
-// degradation ladder (step-down, renegotiate, migrate, abandon with
-// ErrQoSAbandoned). Every declared violation and recovery is also persisted
-// to the database's qoe table (see QoEQuery). Pass the zero GuardianConfig
-// for defaults. Errors if already enabled.
-func (db *DB) EnableGuardian(cfg GuardianConfig) error {
-	if db.guardian != nil {
-		return errors.New("quasaq: guardian already enabled")
-	}
-	g, err := guardian.New(db.manager, cfg)
-	if err != nil {
-		return err
-	}
-	db.guardian = g
-	return nil
+	db.w.Manager.RenegotiateAsync(d, req, core.ServiceOptions{}, done)
 }
 
 // OnGuardianEvent installs fn to receive every guardian event — window
 // breaches, declared violations, ladder rungs firing, recoveries, and
-// saves. Call after EnableGuardian; nil disables.
+// saves. Errors unless Options.Guardian was set; nil disables.
 func (db *DB) OnGuardianEvent(fn func(GuardianEvent)) error {
-	if db.guardian == nil {
-		return errors.New("quasaq: guardian not enabled")
+	if db.w.Guardian == nil {
+		return errors.New("quasaq: guardian not configured")
 	}
-	db.guardian.SetObserver(fn)
+	db.w.Guardian.SetObserver(fn)
 	return nil
 }
 
-// GuardianStats returns the guardian's counters (zero value when
-// EnableGuardian was never called).
+// GuardianStats returns the guardian's counters (zero value without a
+// guardian).
 func (db *DB) GuardianStats() GuardianStats {
-	if db.guardian == nil {
+	if db.w.Guardian == nil {
 		return GuardianStats{}
 	}
-	return db.guardian.Stats()
+	return db.w.Guardian.Stats()
 }
 
 // QoEQuery reads the database's own QoE history — the qoe table the
@@ -693,81 +592,34 @@ func (db *DB) GuardianStats() GuardianStats {
 // (0/1), time (seconds). Rows come back ordered by (time, session,
 // counter). Time-bounded predicates use the qoe time index.
 func (db *DB) QoEQuery(sql string) ([]QoERecord, error) {
-	recs, _, err := db.cluster.Engine.QoESQL(sql)
+	recs, _, err := db.w.Cluster.Engine.QoESQL(sql)
 	return recs, err
 }
 
 // QoECount returns the number of rows in the qoe history table.
-func (db *DB) QoECount() int { return db.cluster.Engine.QoECount() }
+func (db *DB) QoECount() int { return db.w.Cluster.Engine.QoECount() }
 
-// EnableTranscodeFarm attaches the elastic transcoding tier: a pool of
-// heterogeneous worker classes converting GOPs just-in-time ahead of each
-// stream's play point, fronted by a farm pseudo-site so offloaded transcode
-// stages reserve against the fleet's capacity envelope through the same
-// two-phase protocol as any site. Non-neutral farms extend the plan space
-// with farm-offloaded candidates; the zero FarmConfig is a neutral farm
-// whose behaviour is indistinguishable from inline transcoding. Call before
-// issuing queries; errors if already enabled.
-func (db *DB) EnableTranscodeFarm(cfg FarmConfig) error {
-	_, err := db.manager.EnableFarm(cfg)
-	return err
-}
-
-// TranscodeStats returns the farm's counter snapshot (zero value when
-// EnableTranscodeFarm was never called).
+// TranscodeStats returns the farm's counter snapshot (zero value without a
+// farm).
 func (db *DB) TranscodeStats() FarmStats {
-	f := db.manager.Farm()
+	f := db.w.Manager.Farm()
 	if f == nil {
 		return FarmStats{}
 	}
 	return f.Stats()
 }
 
-// EnableEdgeTier provisions cooperative edge proxy-cache sites between the
-// origin servers and the clients: each edge holds popularity-driven video
-// *prefixes* under a byte budget, the plan generator adds edge and split
-// (prefix-from-edge, tail-from-origin) delivery candidates as prefixes
-// appear, admitted split plans reserve both legs all-or-nothing and hand the
-// stream over at the GOP-aligned split frame, and sustained popularity
-// promotes prefixes toward full replicas (in place, or via the dynamic
-// replicator when enabled). Each query site is assigned a home edge
-// round-robin over the given sites. Call after AddVideos and before issuing
-// queries; errors if already enabled. A database that never calls this
-// behaves byte-identically to one without an edge tier.
-func (db *DB) EnableEdgeTier(sites []EdgeSite, cfg EdgeConfig) error {
-	ec, err := db.manager.EnableEdgeTier(sites, cfg)
-	if err != nil {
-		return err
-	}
-	for i, s := range db.Sites() {
-		ec.MapClient(s, sites[i%len(sites)].Name)
-	}
-	if db.dynamic != nil {
-		ec.SetPromote(db.dynamic.Boost)
-	}
-	return nil
-}
-
 // EdgeSites returns the names of the enabled edge proxy sites in
 // configuration order (empty without an edge tier).
-func (db *DB) EdgeSites() []string { return db.cluster.EdgeSites() }
+func (db *DB) EdgeSites() []string { return db.w.Cluster.EdgeSites() }
 
-// EdgeStats returns the edge tier's counter snapshot (zero value when
-// EnableEdgeTier was never called).
+// EdgeStats returns the edge tier's counter snapshot (zero value without an
+// edge tier).
 func (db *DB) EdgeStats() EdgeStats {
-	ec := db.manager.EdgeCache()
-	if ec == nil {
+	if db.w.Edge == nil {
 		return EdgeStats{}
 	}
-	return ec.Stats()
-}
-
-// ConfigureAdmissionQueue installs (or removes, with the zero config) the
-// deadline-aware admission queue: at most MaxInFlight admissions run their
-// plan pipeline concurrently, at most MaxQueue wait (oldest displaced), and
-// waiters expire with ErrAdmissionDeadline after Deadline.
-func (db *DB) ConfigureAdmissionQueue(cfg AdmissionQueueConfig) error {
-	return db.manager.ConfigureAdmissionQueue(cfg)
+	return db.w.Edge.Stats()
 }
 
 // CongestLink squeezes a site's outbound link to factor (0,1] of its
@@ -775,7 +627,7 @@ func (db *DB) ConfigureAdmissionQueue(cfg AdmissionQueueConfig) error {
 // achieved rates drop — the observable drift the guardian reacts to.
 // UncongestLink (or RestoreLink) clears it.
 func (db *DB) CongestLink(site string, factor float64) error {
-	n, err := db.cluster.Node(site)
+	n, err := db.w.Cluster.Node(site)
 	if err != nil {
 		return err
 	}
@@ -807,7 +659,7 @@ type Stats struct {
 	PlanCacheMisses        uint64
 	PlanCacheInvalidations uint64
 
-	// Failure/failover counters (zero unless EnableFailover was called and
+	// Failure/failover counters (zero unless Options.Failover was set and
 	// faults occurred).
 	SessionFailures      uint64
 	Failovers            uint64
@@ -819,8 +671,8 @@ type Stats struct {
 
 // Stats returns current counters.
 func (db *DB) Stats() Stats {
-	ms := db.manager.Stats()
-	cs := db.manager.PlanCache().Stats()
+	ms := db.w.Manager.Stats()
+	cs := db.w.Manager.PlanCache().Stats()
 	return Stats{
 		Queries:        ms.Queries,
 		Admitted:       ms.Admitted,
@@ -829,7 +681,7 @@ func (db *DB) Stats() Stats {
 		NoViablePlan:   ms.NoViablePlan,
 		PlansGenerated: ms.PlansGenerated,
 		Renegotiations: ms.Renegotiations,
-		Outstanding:    db.cluster.OutstandingSessions(),
+		Outstanding:    db.w.Cluster.OutstandingSessions(),
 
 		PlanCacheHits:          cs.Hits,
 		PlanCacheMisses:        cs.Misses,
@@ -848,32 +700,27 @@ func (db *DB) Stats() Stats {
 // bucket fillings, for observability. Unknown sites return an error rather
 // than zero vectors.
 func (db *DB) SiteUsage(site string) (usage, capacity ResourceVector, err error) {
-	return db.cluster.Usage(site)
+	return db.w.Cluster.Usage(site)
 }
 
-// EnableTracing starts recording per-session pipeline spans (content
+// TraceExport writes every span recorded under Options.Tracing (content
 // lookup, plan enumeration, costing, reservation, streaming, GOP progress,
-// failover, teardown) on the virtual clock. Idempotent; spans accumulate
-// until exported with TraceExport.
-func (db *DB) EnableTracing() { db.manager.EnableTracing() }
-
-// TraceExport writes every recorded span as Chrome trace_event JSON — load
-// the output in chrome://tracing or ui.perfetto.dev. Errors unless
-// EnableTracing was called.
-func (db *DB) TraceExport(w io.Writer) error { return db.manager.Tracer().WriteJSON(w) }
+// failover, teardown) as Chrome trace_event JSON — load the output in
+// chrome://tracing or ui.perfetto.dev. Errors unless tracing is on.
+func (db *DB) TraceExport(w io.Writer) error { return db.w.Manager.Tracer().WriteJSON(w) }
 
 // TraceEventCount returns the number of trace events recorded so far (zero
 // when tracing is off).
-func (db *DB) TraceEventCount() int { return db.manager.Tracer().Len() }
+func (db *DB) TraceEventCount() int { return db.w.Manager.Tracer().Len() }
 
 // MetricsSnapshot returns every registry series (quality manager, plan
 // cache, per-site gara/netsim/cpusched/transport counters) as one sorted
 // export — the superset DB.Stats is a typed view of.
-func (db *DB) MetricsSnapshot() []MetricSnapshot { return db.cluster.Obs.Snapshot() }
+func (db *DB) MetricsSnapshot() []MetricSnapshot { return db.w.Cluster.Obs.Snapshot() }
 
 // WriteMetricsJSON exports the full metrics registry as indented JSON.
-func (db *DB) WriteMetricsJSON(w io.Writer) error { return db.cluster.Obs.WriteJSON(w) }
+func (db *DB) WriteMetricsJSON(w io.Writer) error { return db.w.Cluster.Obs.WriteJSON(w) }
 
 // WriteMetricsCSV exports the full metrics registry as tidy CSV (one row
 // per series, one per bucket for histograms).
-func (db *DB) WriteMetricsCSV(w io.Writer) error { return db.cluster.Obs.WriteCSV(w) }
+func (db *DB) WriteMetricsCSV(w io.Writer) error { return db.w.Cluster.Obs.WriteCSV(w) }

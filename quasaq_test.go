@@ -9,11 +9,9 @@ import (
 
 func openLoaded(t *testing.T, opts Options) *DB {
 	t.Helper()
+	opts.Videos = StandardCorpus(42)
 	db, err := Open(opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddVideos(StandardCorpus(42)); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -217,9 +215,10 @@ func TestSiteUsageObservable(t *testing.T) {
 }
 
 func TestEnableDynamicReplication(t *testing.T) {
-	db := openLoaded(t, Options{SingleCopyReplication: true})
-	db.EnableDynamicReplication(20*time.Second, 4)
-	db.EnableDynamicReplication(20*time.Second, 4) // idempotent
+	db := openLoaded(t, Options{
+		SingleCopyReplication: true,
+		Dynamic:               &DynamicReplication{Interval: 20 * time.Second, Batch: 4},
+	})
 	req := Requirement{MinResolution: ResVCD, MaxResolution: ResCIF, MinColorDepth: 16}
 	// Demand VCD-tier deliveries; initially every plan transcodes from an
 	// original. After a rebalance the tier exists as a stored replica.
@@ -236,9 +235,13 @@ func TestEnableDynamicReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Cancel()
 	if d.Plan.Transcode != nil {
 		t.Fatalf("still transcoding after dynamic replication: %s", d.Plan)
+	}
+	// Once demand stops, the replicator parks and the drain returns.
+	db.RunUntilIdle()
+	if !d.Session.Done() {
+		t.Fatal("drain returned before the delivery finished")
 	}
 }
 

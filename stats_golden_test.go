@@ -12,8 +12,8 @@ import (
 // onto the internal/obs registry; this golden guards that the typed view
 // over the registry is byte-identical to the pre-rewire ad-hoc counters.
 func TestStatsGoldenRegistryRewire(t *testing.T) {
-	db := openLoaded(t, Options{})
-	db.EnableFailover(DefaultFailoverPolicy())
+	pol := DefaultFailoverPolicy()
+	db := openLoaded(t, Options{Failover: &pol})
 
 	reqs := []Requirement{
 		{MinResolution: ResVCD, MaxResolution: ResCIF},
